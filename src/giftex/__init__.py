@@ -13,10 +13,10 @@ number of distinct game trajectories.
 from .behavior import (ALL_FEATURES, BehaviorParams, Feature, SocialState,
                        adaptive_prob_linear, adaptive_prob_logit,
                        feature_label, feature_set, frustration_decay,
-                       frustration_on_theft, net_steal_utility,
-                       selection_weights, social_cost)
-from .beliefs import (Posterior, Prior, certainty_equivalent, perceived_value,
-                      posterior, wrapped_gift_value)
+                       frustration_on_theft, selection_weights,
+                       steal_targets)
+from .beliefs import (Posterior, Prior, certainty_equivalent, posterior,
+                      wrapped_gift_value)
 from .counting import (UNLIMITED, brute_force_count, count_chains,
                        count_trajectories, round_action_count,
                        trajectory_count, trajectory_count_with_swap)

@@ -16,9 +16,9 @@ The four toggleable features:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError
 
@@ -54,9 +54,9 @@ def feature_label(features: frozenset[Feature]) -> str:
 
 @dataclass(frozen=True)
 class BehaviorParams:
-    """Feature switches plus every behavioral constant in one record."""
+    """Every behavioral constant in one record; features are toggled per
+    condition, not here."""
 
-    features: frozenset[Feature] = frozenset()
     # social costs
     c0: float = 0.05          # base norm-violation cost
     alpha: float = 2.0        # repeat-victim multiplier
@@ -69,7 +69,6 @@ class BehaviorParams:
     lambda1: float = 0.2      # phase coefficient
     lambda2: float = 0.5      # frustration coefficient
     lambda3: float = 0.3      # satisfaction coefficient
-    mu_logit: float = 1.0     # logit scale (logit form only)
     # biased selection
     tau: float = 2.0          # softmax temperature
     # beliefs
@@ -81,6 +80,9 @@ class BehaviorParams:
     threshold: float = 0.6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
         for name in ("c0", "alpha", "beta", "gamma", "gamma_prime", "p0",
                      "lambda1", "lambda2", "lambda3", "tau", "rho_risk",
                      "threshold"):
@@ -88,11 +90,6 @@ class BehaviorParams:
                 raise ConfigurationError(f"{name} must be non-negative")
         if self.sigma0_sq <= 0 or self.sigma_a <= 0:
             raise ConfigurationError("variances must be positive")
-        if self.mu_logit <= 0:
-            raise ConfigurationError("mu_logit must be positive")
-
-    def with_features(self, features: frozenset[Feature]) -> "BehaviorParams":
-        return replace(self, features=features)
 
 
 class SocialState:
@@ -115,37 +112,35 @@ class SocialState:
         self.history[thief][victim] += 1
         self.steals_committed[thief] += 1
 
-    def prior_steals(self, thief: int, victim: int) -> int:
-        return self.history[thief][victim]
 
-
-def social_cost(social: SocialState, thief: int, victim: int,
-                params: BehaviorParams) -> float:
-    """Norm violation + relationship damage + cumulative reputation cost."""
-    return (
-        params.c0
-        + params.c0 * params.alpha * social.history[thief][victim]
-        + params.beta * social.steals_committed[thief]
-    )
-
-
-def net_steal_utility(
-    thief: int,
-    victim: int,
+def steal_targets(
     state,
-    perceived: Callable[[int, int], float],
+    actor: int,
+    values: Sequence[float],
+    own_value: float,
     social: Optional[SocialState],
     params: BehaviorParams,
-) -> float:
-    """Perceived gain of stealing: target value minus current holding minus
-    social cost (cost only when SC is enabled; holding counts as 0 if none)."""
-    target_gift = state.ownership[victim]
-    own_gift = state.ownership[thief]
-    own_value = perceived(thief, own_gift) if own_gift is not None else 0.0
-    cost = 0.0
-    if Feature.SC in params.features:
-        cost = social_cost(social, thief, victim, params)
-    return perceived(thief, target_gift) - own_value - cost
+) -> list[tuple[int, float, float]]:
+    """(victim, net utility, gift value) for every gift `actor` may steal.
+
+    `values[g]` is the actor's value of opened gift g (opened gifts are seen
+    at their true value) and `own_value` that of its current holding, 0 when
+    empty-handed. Net utility is the value gain minus, when `social` is given
+    (SC on), the social cost: norm violation plus cumulative reputation, plus
+    relationship damage growing with prior steals from the same victim.
+    """
+    holder = state.holder
+    gifts = state.stealable_gifts(actor)
+    if social is None:
+        return [(holder[g], values[g] - own_value, values[g]) for g in gifts]
+    # Float addition is not associative; the exports pin this summation order.
+    base_cost = params.c0 + params.beta * social.steals_committed[actor]
+    repeat_cost = params.c0 * params.alpha
+    h_row = social.history[actor]
+    return [(holder[g],
+             values[g] - own_value - (base_cost + repeat_cost * h_row[holder[g]]),
+             values[g])
+            for g in gifts]
 
 
 def frustration_on_theft(social: SocialState, victim: int, gamma: float) -> SocialState:

@@ -1,5 +1,6 @@
 """Partial-information machinery: Gaussian posterior over gift quality, CARA
-certainty equivalent, and the perceived-value function.
+certainty equivalent, and the value of a wrapped gift seen through its
+appearance signal. Opened gifts are always seen at their true value.
 
 Players share a common Normal(mu0, sigma0_sq) prior over quality and observe
 one clipped appearance signal per gift. The conjugate update gives a posterior
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .behavior import BehaviorParams, Feature
+from .behavior import BehaviorParams
 from .errors import ConfigurationError
 
 
@@ -59,27 +60,11 @@ def certainty_equivalent(mean: float, variance: float, risk_aversion: float) -> 
 
 
 def wrapped_gift_value(signal: float, params: BehaviorParams) -> float:
-    """Certainty equivalent of a wrapped gift given its appearance signal."""
+    """Certainty equivalent of a wrapped gift given its appearance signal.
+
+    This is the perceived value of a wrapped gift under PI; it may dip
+    slightly below the posterior mean and is deliberately not clipped.
+    """
     post = posterior(Prior(params.mu0, params.sigma0_sq), signal, params.sigma_a)
     return certainty_equivalent(post.mean, post.variance, params.rho_risk)
 
-
-def perceived_value(
-    player: int,
-    gift: int,
-    state,
-    valuations,
-    appearance,
-    features: frozenset[Feature],
-    params: BehaviorParams,
-) -> float:
-    """Value of `gift` through `player`'s eyes.
-
-    Opened gifts (and everything, when PI is off) are worth their true
-    subjective value. Wrapped gifts under PI are worth the risk-adjusted
-    posterior mean given their appearance signal; that value may dip slightly
-    below the posterior mean and is deliberately not clipped.
-    """
-    if Feature.PI not in features or state.opened[gift]:
-        return valuations.value(player, gift)
-    return wrapped_gift_value(appearance.signal(gift), params)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -144,7 +145,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
         value = counting.count_trajectories(n, args.lifetime)
     if args.with_swap:
         value *= n
-    print(value)
+    # str(int) refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default); Decimal converts exactly without touching that global limit.
+    print(Decimal(value))
     return 0
 
 

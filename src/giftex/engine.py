@@ -23,6 +23,10 @@ class StealLimits:
     """Caps on how often a single gift may be stolen. 0 means unlimited.
 
     ``(1, 0)`` is the standard rule set: once per round, no lifetime cap.
+    Only ``lifetime`` affects play. ``per_round`` is validated and echoed in
+    exports but never binds: a round is exactly one chain, and a stolen gift
+    stays chain-locked until the open that ends it, so no gift can be stolen
+    twice in one round whatever the cap.
     """
 
     per_round: int = 1
@@ -76,16 +80,17 @@ class GameState:
     holder : inverse map, gift -> seat or None
     opened : gift -> bool status flags (False = still wrapped)
     opened_order : gift ids in opening order
-    chain_locked : gifts stolen in the current chain (cleared at chain end)
-    round_steals / total_steals : per-gift steal counters
+    chain_locked : gifts stolen in the current chain (cleared at chain end,
+        which is also the round's end, so it doubles as the per-round cap)
+    total_steals : per-gift lifetime steal counters
     round : current round index, 1..n
     displaced : seat that must act next inside a chain, else None
     """
 
     __slots__ = (
         "n", "limits", "ownership", "holder", "opened", "opened_order",
-        "chain_locked", "round_steals", "total_steals", "round",
-        "displaced", "swap_pending", "concluded", "wrapped_count",
+        "chain_locked", "total_steals", "round", "displaced",
+        "swap_pending", "concluded",
     )
 
     def __init__(self, n: int, limits: StealLimits) -> None:
@@ -96,13 +101,11 @@ class GameState:
         self.opened: list[bool] = [False] * (n + 1)
         self.opened_order: list[int] = []
         self.chain_locked: set[int] = set()
-        self.round_steals: list[int] = [0] * (n + 1)
         self.total_steals: list[int] = [0] * (n + 1)
         self.round = 1
         self.displaced: Optional[int] = None
         self.swap_pending = False
         self.concluded = False
-        self.wrapped_count = n
 
     # -- queries ----------------------------------------------------------
 
@@ -110,25 +113,25 @@ class GameState:
         return [g for g in range(1, self.n + 1) if not self.opened[g]]
 
     def stealable(self, gift: int) -> bool:
-        """True iff `gift` passes the chain lock plus both steal-count caps."""
-        if gift in self.chain_locked:
-            return False
-        lim = self.limits
-        if lim.per_round and self.round_steals[gift] >= lim.per_round:
-            return False
-        if lim.lifetime and self.total_steals[gift] >= lim.lifetime:
-            return False
-        return True
+        """True iff `gift` passes the chain lock and the lifetime cap."""
+        lifetime = self.limits.lifetime
+        return gift not in self.chain_locked and not (
+            lifetime and self.total_steals[gift] >= lifetime)
+
+    def stealable_gifts(self, actor: int) -> list[int]:
+        """Opened gifts `actor` may steal, in opening order.
+
+        The same rule as `stealable`, inlined: this scan is the hot path.
+        """
+        locked, holder = self.chain_locked, self.holder
+        lifetime, total = self.limits.lifetime, self.total_steals
+        return [g for g in self.opened_order
+                if holder[g] != actor and g not in locked
+                and not (lifetime and total[g] >= lifetime)]
 
     def valid_steal_targets(self, actor: int) -> list[int]:
         """Seats owning a stealable opened gift, excluding the actor, by seat."""
-        targets = [
-            self.holder[g]
-            for g in self.opened_order
-            if self.holder[g] != actor and self.stealable(g)
-        ]
-        targets.sort()
-        return targets
+        return sorted(self.holder[g] for g in self.stealable_gifts(actor))
 
     def legal_actions(self, actor: int) -> list[Action]:
         if self.swap_pending or self.concluded:
@@ -151,12 +154,7 @@ class GameState:
         self.holder[gift] = actor
         self.opened[gift] = True
         self.opened_order.append(gift)
-        self.wrapped_count -= 1
-        # Round ends with every open: clear per-round bookkeeping. Gifts with a
-        # nonzero round count are exactly the chain-locked ones.
-        for g in self.chain_locked:
-            self.round_steals[g] = 0
-        self.chain_locked.clear()
+        self.chain_locked.clear()  # every open ends the chain and the round
         self.displaced = None
         if self.round == self.n:
             self.swap_pending = True
@@ -183,7 +181,6 @@ class GameState:
         self.holder[gift] = thief
         self.ownership[victim] = None
         self.chain_locked.add(gift)
-        self.round_steals[gift] += 1
         self.total_steals[gift] += 1
         self.displaced = victim
         return self

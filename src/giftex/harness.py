@@ -16,16 +16,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .behavior import (ALL_FEATURES, FEATURE_ORDER, BehaviorParams, Feature,
+from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        SocialState, adaptive_prob_linear, feature_label,
-                       frustration_decay, frustration_on_theft)
+                       frustration_decay, frustration_on_theft, steal_targets)
 from .beliefs import wrapped_gift_value
 from .engine import (STANDARD_LIMITS, GameResult, Open, StealLimits, run_game)
 from .errors import ConfigurationError
@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigurationError("n_players must be >= 1")
         if self.games_per_condition < 1:
             raise ConfigurationError("games_per_condition must be >= 1")
+        for kind in MODEL_ORDER:
+            self.model_for(kind)  # validates rho and sigma_neg
 
     def model_for(self, kind: ModelKind) -> ValuationModel:
         return ValuationModel(kind, rho=self.rho, sigma=self.sigma_neg)
@@ -85,38 +87,55 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"n_players", "games_per_condition", "base_seed",
-                 "steal_limits", "behavior", "models"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        data = _section(data, "config", {
+            "n_players", "games_per_condition", "base_seed", "steal_limits",
+            "behavior", "models"})
         kwargs: dict = {}
         for key in ("n_players", "games_per_condition", "base_seed"):
             if key in data:
-                kwargs[key] = int(data[key])
+                kwargs[key] = _integer(key, data[key])
         if "steal_limits" in data:
-            sl = data["steal_limits"]
-            kwargs["limits"] = StealLimits(int(sl.get("per_round", 1)),
-                                           int(sl.get("lifetime", 0)))
+            sl = _section(data["steal_limits"], "steal_limits",
+                          {"per_round", "lifetime"})
+            kwargs["limits"] = StealLimits(
+                _integer("per_round", sl.get("per_round", 1)),
+                _integer("lifetime", sl.get("lifetime", 0)))
         if "behavior" in data:
-            allowed = {"c0", "alpha", "beta", "gamma", "gamma_prime", "p0",
-                       "lambda1", "lambda2", "lambda3", "tau", "mu0",
-                       "sigma0_sq", "sigma_a", "rho_risk", "threshold"}
-            extra = set(data["behavior"]) - allowed
-            if extra:
-                raise ConfigurationError(f"unknown behavior keys: {sorted(extra)}")
+            behavior = _section(data["behavior"], "behavior",
+                                {f.name for f in fields(BehaviorParams)})
             kwargs["behavior"] = BehaviorParams(
-                **{k: float(v) for k, v in data["behavior"].items()})
+                **{k: _number(k, v) for k, v in behavior.items()})
         if "models" in data:
-            models = data["models"]
-            extra = set(models) - {"rho", "sigma_neg"}
-            if extra:
-                raise ConfigurationError(f"unknown model keys: {sorted(extra)}")
-            if "rho" in models:
-                kwargs["rho"] = float(models["rho"])
-            if "sigma_neg" in models:
-                kwargs["sigma_neg"] = float(models["sigma_neg"])
+            models = _section(data["models"], "models", {"rho", "sigma_neg"})
+            for key in ("rho", "sigma_neg"):
+                if key in models:
+                    kwargs[key] = _number(key, models[key])
         return cls(**kwargs)
+
+
+def _section(value, name: str, allowed: set) -> dict:
+    """`value` if it is a JSON object holding only `allowed` keys."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{name} must be an object, got {value!r}")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ConfigurationError(f"unknown {name} keys: {sorted(unknown)}")
+    return value
+
+
+def _integer(key: str, value) -> int:
+    """`value` if it is an int; floats and bools are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    """`value` as a float if it is an int or float; bools and strings are
+    refused. Finiteness is checked by the record the value goes into."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
@@ -188,7 +207,6 @@ def play_game(
     `fixed_strategy` pins every seat to one strategy (test fixtures); normal
     play assigns strategies uniformly at random per seat.
     """
-    params = params.with_features(features)
     vm = generate_valuations(model, n, rng)
     app = generate_appearance(vm.quality, params.sigma_a, rng)
     if fixed_strategy is None:
@@ -219,52 +237,28 @@ def play_game(
         sel_vals = ce if pi_on else signals
         wexp = [0.0] + [math.exp(params.tau * sel_vals[g]) for g in range(1, n + 1)]
 
+    # Steal history is read only by the SC cost, frustration only by the AD
+    # gate, so each is kept only when its reader is on.
     social = SocialState(n)
+    sc_social = social if sc_on else None
     frustration = social.frustration
     opened_sum = [0.0] * (n + 1)  # per seat, over opened gifts
     pool = list(range(1, n + 1))  # wrapped gift ids
 
-    per_round, lifetime = limits.per_round, limits.lifetime
-    c0, beta = params.c0, params.beta
-    c0_alpha = params.c0 * params.alpha
-    gamma, gamma_prime = params.gamma, params.gamma_prime
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
-    threshold = params.threshold
     inv_n = 1.0 / n
-    state_box: dict = {"ce_wrapped_sum": ce_wrapped_sum}
 
     def decide(st, actor, game_rng):
+        nonlocal ce_wrapped_sum
         v_row = V[actor]
         own = st.ownership[actor]
         own_value = v_row[own] if own is not None else 0.0
-        locked = st.chain_locked
-        round_steals, total_steals = st.round_steals, st.total_steals
-        holder = st.holder
-        opened = st.opened_order
-        if sc_on:
-            base_cost = c0 + beta * social.steals_committed[actor]
-            h_row = social.history[actor]
-        targets = []
-        for g in opened:
-            if g in locked:
-                continue
-            if per_round and round_steals[g] >= per_round:
-                continue
-            if lifetime and total_steals[g] >= lifetime:
-                continue
-            victim = holder[g]
-            if victim == actor:
-                continue
-            gift_value = v_row[g]
-            net = gift_value - own_value
-            if sc_on:
-                net -= base_cost + c0_alpha * h_row[victim]
-            targets.append((victim, net, gift_value))
-        opened_count = len(opened)
+        targets = steal_targets(st, actor, v_row, own_value, sc_social, params)
+        opened_count = len(st.opened_order)
         opened_mean = opened_sum[actor] / opened_count if opened_count else 0.0
         wrapped_n = len(pool)
         if pi_on:
-            wrapped_mean = state_box["ce_wrapped_sum"] / wrapped_n
+            wrapped_mean = ce_wrapped_sum / wrapped_n
         else:
             wrapped_mean = (total_sum[actor] - opened_sum[actor]) / wrapped_n
         ctx = DecisionContext(
@@ -276,7 +270,7 @@ def play_game(
             wrapped_mean=wrapped_mean,
             wrapped_pool=pool,
             open_weights=wexp,
-            threshold=threshold,
+            threshold=params.threshold,
         )
         if ad_on and game_rng.random() >= adaptive_prob_linear(
                 p0, ctx.phase, frustration[actor], own_value, l1, l2, l3):
@@ -288,15 +282,16 @@ def play_game(
         if type(action) is Open:
             g = action.gift
             pool.remove(g)
-            col = g
             for seat in range(1, n + 1):
-                opened_sum[seat] += V[seat][col]
+                opened_sum[seat] += V[seat][g]
             if pi_on:
-                state_box["ce_wrapped_sum"] -= ce[g]
+                ce_wrapped_sum -= ce[g]
         else:
             victim = action.victim
-            social.note_steal(actor, victim)
-            frustration_on_theft(social, victim, gamma)
+            if sc_on:
+                social.note_steal(actor, victim)
+            if ad_on:
+                frustration_on_theft(social, victim, params.gamma)
         return action
 
     def swap(st, game_rng):
@@ -312,10 +307,10 @@ def play_game(
         return st.holder[best_gift]
 
     def round_end(st):
-        frustration_decay(social, gamma_prime)
+        frustration_decay(social, params.gamma_prime)
 
     result = run_game(n, limits, decide, swap=swap, rng=rng,
-                      on_round_end=round_end)
+                      on_round_end=round_end if ad_on else None)
     seat_values = tuple(
         V[seat][result.final_ownership[seat]] for seat in range(1, n + 1))
     return PlayedGame(result=result, strategies=assigned,

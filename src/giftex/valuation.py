@@ -15,6 +15,7 @@ entropy, so regeneration with the same seed is bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,8 +41,8 @@ class ValuationModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must be in [0, 1], got {self.rho}")
-        if self.sigma <= 0.0:
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
 
     @property
     def name(self) -> str:

@@ -1,6 +1,7 @@
 """Social costs, frustration dynamics, adaptive probabilities, selection."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from giftex.behavior import (BehaviorParams, Feature, SocialState,
                              adaptive_prob_linear, adaptive_prob_logit,
                              feature_label, feature_set, frustration_decay,
-                             frustration_on_theft, net_steal_utility,
-                             selection_weights, social_cost)
+                             frustration_on_theft, selection_weights,
+                             steal_targets)
 from giftex.engine import initial_state
 from giftex.errors import ConfigurationError
 
@@ -34,14 +35,31 @@ def test_parameter_validation():
     with pytest.raises(ConfigurationError):
         BehaviorParams(sigma0_sq=0.0)
     with pytest.raises(ConfigurationError):
-        BehaviorParams(mu_logit=0.0)
+        adaptive_prob_logit(0.0, 0.0, 0.0, 0.0, 0.2, 0.5, 0.3, mu_logit=0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(BehaviorParams)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(name, bad):
+    with pytest.raises(ConfigurationError):
+        BehaviorParams(**{name: bad})
 
 
 # -- social cost --------------------------------------------------------------
 
+def social_cost(social, thief, victim, params=PARAMS):
+    """The SC cost `steal_targets` charges: with every gift worth 0 and the
+    thief empty-handed, the net utility is minus the cost."""
+    state = initial_state(5)
+    for seat in (1, 2, 3):
+        state.apply_open(seat, seat)
+    targets = steal_targets(state, thief, [0.0] * 6, 0.0, social, params)
+    return -{v: net for v, net, _ in targets}[victim]
+
+
 def test_first_steal_costs_base_awkwardness():
     social = SocialState(5)
-    assert social_cost(social, 2, 3, PARAMS) == pytest.approx(0.05)
+    assert social_cost(social, 2, 3) == pytest.approx(0.05)
 
 
 def test_repeat_offender_cost():
@@ -50,7 +68,7 @@ def test_repeat_offender_cost():
     social = SocialState(5)
     social.history[2][3] = 2
     social.steals_committed[2] = 3
-    assert social_cost(social, 2, 3, PARAMS) == pytest.approx(0.55)
+    assert social_cost(social, 2, 3) == pytest.approx(0.55)
 
 
 def test_zero_base_cost_kills_relationship_term():
@@ -67,12 +85,12 @@ def test_social_cost_monotone_in_history_and_totals(h, n):
     social = SocialState(4)
     social.history[1][2] = h
     social.steals_committed[1] = n
-    base = social_cost(social, 1, 2, PARAMS)
+    base = social_cost(social, 1, 2)
     social.history[1][2] = h + 1
-    assert social_cost(social, 1, 2, PARAMS) > base
+    assert social_cost(social, 1, 2) > base
     social.history[1][2] = h
     social.steals_committed[1] = n + 1
-    assert social_cost(social, 1, 2, PARAMS) > base
+    assert social_cost(social, 1, 2) > base
 
 
 # -- net utility ---------------------------------------------------------------
@@ -84,45 +102,47 @@ def build_two_owner_state():
     return state
 
 
+def nets(state, actor, values, own_value, social=None, params=PARAMS):
+    """victim -> net utility over the actor's legal steal targets."""
+    targets = steal_targets(state, actor, values, own_value, social, params)
+    return {victim: net for victim, net, _ in targets}
+
+
 def test_net_utility_empty_handed_no_social_cost():
     state = build_two_owner_state()
-    perceived = lambda player, gift: {1: 0.9, 2: 0.4}[gift]
-    got = net_steal_utility(3, 1, state, perceived, None, PARAMS)
-    assert got == pytest.approx(0.9)
+    values = [0.0, 0.9, 0.4]  # indexed by gift
+    targets = steal_targets(state, 3, values, 0.0, None, PARAMS)
+    assert targets == [(1, pytest.approx(0.9), 0.9), (2, pytest.approx(0.4), 0.4)]
 
 
 def test_net_utility_is_value_difference():
     state = build_two_owner_state()
     state.apply_steal(3, 1)   # seat 3 now holds gift 1
     state.apply_open(1, 3)    # chain ends
-    perceived = lambda player, gift: {1: 0.4, 2: 0.9, 3: 0.1}[gift]
-    got = net_steal_utility(4, 2, state, perceived, None, PARAMS)
-    assert got == pytest.approx(0.9 - 0.0)  # seat 4 holds nothing
-    # give seat 4's would-be holding a value by asking from seat 3's shoes:
-    got = net_steal_utility(3, 2, state, perceived, None, PARAMS)
-    assert got == pytest.approx(0.9 - 0.4)
+    values = [0.0, 0.4, 0.9, 0.1]
+    assert nets(state, 4, values, 0.0)[2] == pytest.approx(0.9 - 0.0)  # seat 4 holds nothing
+    # seat 3 holds gift 1, worth 0.4 to it
+    assert nets(state, 3, values, values[1])[2] == pytest.approx(0.9 - 0.4)
 
 
 def test_net_utility_with_social_cost():
-    params = BehaviorParams(features=frozenset({Feature.SC}))
     state = build_two_owner_state()
     state.apply_steal(3, 1)
     state.apply_open(1, 3)
     social = SocialState(4)
     social.history[3][2] = 2
     social.steals_committed[3] = 3
-    perceived = lambda player, gift: {1: 0.4, 2: 0.9, 3: 0.1}[gift]
-    got = net_steal_utility(3, 2, state, perceived, social, params)
+    values = [0.0, 0.4, 0.9, 0.1]
+    got = nets(state, 3, values, values[1], social)[2]
     assert got == pytest.approx(0.9 - 0.4 - 0.55)
 
 
 def test_with_sc_disabled_cost_is_ignored():
+    # SC off: the simulation passes no social state, so history never costs.
     state = build_two_owner_state()
-    social = SocialState(4)
-    social.history[3][1] = 5
-    perceived = lambda player, gift: 0.7
-    got = net_steal_utility(3, 1, state, perceived, social, PARAMS)
-    assert got == pytest.approx(0.7)
+    values = [0.0, 0.7, 0.7]
+    assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.7),
+                                           2: pytest.approx(0.7)}
 
 
 # -- frustration ----------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Belief math: conjugate posterior, certainty equivalent, perceived value."""
+"""Belief math: conjugate posterior, certainty equivalent, perceived value:
+wrapped gifts through `wrapped_gift_value`, steal targets at true value."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from giftex.behavior import BehaviorParams, Feature
-from giftex.beliefs import (Posterior, Prior, certainty_equivalent,
-                            perceived_value, posterior, wrapped_gift_value)
+from giftex.behavior import BehaviorParams, steal_targets
+from giftex.beliefs import (Posterior, Prior, certainty_equivalent, posterior,
+                            wrapped_gift_value)
 from giftex.engine import initial_state
 from giftex.errors import ConfigurationError
 from giftex.valuation import (ModelKind, ValuationModel, generate_appearance,
@@ -78,36 +79,48 @@ def test_certainty_equivalent_never_exceeds_mean(mean, var, risk):
 
 # -- perceived value ----------------------------------------------------------
 
-def build_fixture(features, sigma_a=0.3, rho_risk=0.5):
-    params = BehaviorParams(features=features, sigma_a=sigma_a, rho_risk=rho_risk)
+def build_fixture(sigma_a=0.3, rho_risk=0.5):
+    params = BehaviorParams(sigma_a=sigma_a, rho_risk=rho_risk)
     rng = np.random.default_rng(77)
     vm = generate_valuations(ValuationModel(ModelKind.INDEPENDENT), 5, rng)
     app = generate_appearance(vm.quality, params.sigma_a, rng)
-    state = initial_state(5)
-    state.apply_open(1, 2)  # gift 2 opened, rest wrapped
-    return state, vm, app, params
+    return vm, app, params
+
+
+def target_values(state, actor, vm, params):
+    """victim's gift -> the value a steal target carries, as the simulation
+    computes it (SC off)."""
+    row = [0.0] + vm.values[actor - 1].tolist()
+    targets = steal_targets(state, actor, row, 0.0, None, params)
+    return {state.ownership[victim]: value for victim, _, value in targets}
 
 
 def test_without_pi_everything_is_true_value():
-    state, vm, app, params = build_fixture(frozenset())
-    for gift in range(1, 6):
-        assert perceived_value(3, gift, state, vm, app, params.features, params) \
-            == pytest.approx(vm.value(3, gift))
+    vm, app, params = build_fixture()
+    state = initial_state(5)
+    for seat in range(1, 6):
+        state.apply_open(seat, seat)
+    got = target_values(state, 3, vm, params)
+    assert got == {g: pytest.approx(vm.value(3, g)) for g in (1, 2, 4, 5)}
 
 
 def test_with_pi_opened_gift_is_true_value():
-    state, vm, app, params = build_fixture(frozenset({Feature.PI}))
-    assert perceived_value(3, 2, state, vm, app, params.features, params) \
-        == pytest.approx(vm.value(3, 2))
+    # Steal targets are opened gifts; partial information never blurs them.
+    vm, app, params = build_fixture()
+    state = initial_state(5)
+    state.apply_open(1, 2)  # gift 2 opened, rest wrapped
+    assert target_values(state, 3, vm, params) == {2: pytest.approx(vm.value(3, 2))}
 
 
 def test_with_pi_wrapped_gift_is_risk_adjusted_posterior():
-    state, vm, app, params = build_fixture(frozenset({Feature.PI}))
-    got = perceived_value(3, 4, state, vm, app, params.features, params)
-    assert got == pytest.approx(wrapped_gift_value(app.signal(4), params))
+    vm, app, params = build_fixture()
+    post = posterior(Prior(params.mu0, params.sigma0_sq), app.signal(4),
+                     params.sigma_a)
+    assert wrapped_gift_value(app.signal(4), params) == pytest.approx(
+        certainty_equivalent(post.mean, post.variance, params.rho_risk))
     # worked example: signal 0.8 with the default parameters
-    params08 = BehaviorParams(features=frozenset({Feature.PI}))
-    assert wrapped_gift_value(0.8, params08) == pytest.approx(0.7040441176470588, abs=1e-9)
+    assert wrapped_gift_value(0.8, BehaviorParams()) == pytest.approx(
+        0.7040441176470588, abs=1e-9)
 
 
 def test_pi_reduces_to_full_information_in_the_noiseless_risk_free_limit():
@@ -115,10 +128,8 @@ def test_pi_reduces_to_full_information_in_the_noiseless_risk_free_limit():
     n = 6
     rng = np.random.default_rng(5)
     vm = generate_valuations(ValuationModel(ModelKind.CORRELATED, rho=1.0), n, rng)
-    params = BehaviorParams(features=frozenset({Feature.PI}),
-                            sigma_a=1e-9, rho_risk=0.0)
+    params = BehaviorParams(sigma_a=1e-9, rho_risk=0.0)
     app = generate_appearance(vm.quality, 1e-12, rng)
-    state = initial_state(n)
     for gift in range(1, n + 1):
-        got = perceived_value(2, gift, state, vm, app, params.features, params)
+        got = wrapped_gift_value(app.signal(gift), params)
         assert got == pytest.approx(vm.value(2, gift), abs=1e-6)

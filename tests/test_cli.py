@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flags, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from giftex.cli import main
+from giftex.counting import count_trajectories
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +33,20 @@ def test_count_large_n_prints_exact_decimal(capsys):
     code, out, _ = run_cli(capsys, "count", "--players", "8")
     assert code == 0 and out.strip() == "3665074910515200000"
     assert "e" not in out and "E" not in out
+
+
+def test_count_beyond_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "count", "--players", "100")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(count_trajectories(100)) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected and len(out) == 6985
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("3eb5dca7")
 
 
 def test_count_lifetime(capsys):
@@ -133,6 +149,18 @@ def test_experiment_json_format(tmp_path, capsys):
     doc = json.loads((tmp_path / "experiment.json").read_text())
     assert doc["config"]["games_per_condition"] == 2
     assert len(doc["conditions"]) == 48
+
+
+@pytest.mark.parametrize("config", [
+    {"n_players": 2.9}, {"games_per_condition": True},
+    {"behavior": {"c0": float("nan")}}, {"models": {"sigma_neg": float("inf")}}])
+def test_experiment_bad_config_is_exit_two(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity are JSON literals here
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--jobs", "1",
+                           "--out", str(tmp_path), "--config", str(path))
+    assert code == 2 and "error:" in err
+    assert not (tmp_path / "experiment.csv").exists()
 
 
 def test_unknown_subcommand_exits_two():

@@ -42,7 +42,8 @@ def test_initial_state_29_players():
     s = initial_state(29, StealLimits(1, 0))
     assert len(s.wrapped_gifts()) == 29
     assert s.round == 1
-    assert sum(s.total_steals) == 0 and sum(s.round_steals) == 0
+    assert sum(s.total_steals) == 0 and s.chain_locked == set()
+    assert s.stealable_gifts(1) == []
 
 
 def test_initial_state_rejects_empty_game():
@@ -64,11 +65,26 @@ def test_chain_locked_gift_not_stealable():
     assert not s.stealable(1)
 
 
-def test_per_round_cap_blocks():
-    s = initial_state(3, StealLimits(1, 0))
+def steal_then_open(per_round):
+    """Round 3 of 4: seat 3 steals gift 1, seat 1 opens gift 3."""
+    s = initial_state(4, StealLimits(per_round, 0))
     s.apply_open(1, 1)
-    s.round_steals[1] = 1
-    assert not s.stealable(1)
+    s.apply_open(2, 2)
+    s.apply_steal(3, 1)
+    return s
+
+
+def test_per_round_cap_blocks():
+    # The chain lock is the per-round cap: a stolen gift stays locked until
+    # the open that ends the round, whatever per_round says.
+    for per_round in (0, 1, 2):
+        s = steal_then_open(per_round)
+        assert not s.stealable(1)
+        assert 1 not in s.stealable_gifts(1) and 1 not in s.stealable_gifts(2)
+        with pytest.raises(IllegalMoveError):
+            s.apply_steal(1, 3)
+        s.apply_open(1, 3)
+        assert s.stealable(1) and 1 in s.stealable_gifts(4)
 
 
 def test_lifetime_cap_blocks():
@@ -79,10 +95,10 @@ def test_lifetime_cap_blocks():
 
 
 def test_zero_means_unlimited():
-    s = initial_state(3, StealLimits(0, 0))
-    s.apply_open(1, 1)
-    s.round_steals[1] = 5
+    s = steal_then_open(0)
     s.total_steals[1] = 99
+    assert not s.stealable(1)  # a zero cap never lifts the chain lock
+    s.apply_open(1, 3)
     assert s.stealable(1)
 
 
@@ -138,7 +154,7 @@ def test_open_terminates_chain_and_clears_locks():
     s.apply_open(2, 3)
     assert s.chain_locked == set() and s.displaced is None
     assert s.round == 4
-    assert all(c == 0 for c in s.round_steals)
+    assert s.stealable(2) and 2 in s.stealable_gifts(4)
 
 
 def test_open_already_opened_is_illegal():
@@ -169,10 +185,10 @@ def test_chain_example_bookkeeping():
         s.holder[gift] = seat
         s.opened[gift] = True
         s.opened_order.append(gift)
-        s.wrapped_count -= 1
     s.apply_steal(7, 4)
     assert s.ownership[7] == 3 and s.ownership[4] is None
-    assert s.chain_locked == {3} and s.round_steals[3] == 1 and s.total_steals[3] == 1
+    assert s.chain_locked == {3} and s.total_steals[3] == 1
+    assert not s.stealable(3) and 3 not in s.stealable_gifts(4)
     assert s.displaced == 4
     s.apply_steal(4, 2)
     assert s.chain_locked == {3, 5}
@@ -181,7 +197,7 @@ def test_chain_example_bookkeeping():
     s.apply_open(2, 6)
     assert s.chain_locked == set()
     assert s.round == 8
-    assert s.round_steals[3] == 0 and s.total_steals[3] == 1
+    assert s.stealable(3) and s.total_steals[3] == 1
     assert s.total_steals[5] == 1
 
 
@@ -344,25 +360,52 @@ def test_exactly_k_opened_after_round_k():
         assert sum(state.opened[1:]) == k
 
 
+def steal_first(state, actor, rng):
+    actions = state.legal_actions(actor)
+    steals = [a for a in actions if isinstance(a, Steal)]
+    return steals[0] if steals else actions[0]
+
+
 def test_caps_respected_under_aggressive_play():
-    for limits in (StealLimits(1, 0), StealLimits(1, 2), StealLimits(2, 1)):
-        rng = np.random.default_rng(17)
-        state = initial_state(9, limits)
-        max_round_count = 0
-        while not state.swap_pending:
-            actor = state.round if state.displaced is None else state.displaced
-            actions = state.legal_actions(actor)
-            steals = [a for a in actions if isinstance(a, Steal)]
-            action = steals[0] if steals else actions[0]
-            if isinstance(action, Open):
-                state.apply_open(actor, action.gift)
-            else:
-                state.apply_steal(actor, action.victim)
-            max_round_count = max(max_round_count, max(state.round_steals))
-        if limits.per_round:
-            assert max_round_count <= limits.per_round
+    for limits in (StealLimits(1, 0), StealLimits(1, 2), StealLimits(2, 1),
+                   StealLimits(0, 0)):
+        result = run_game(9, limits, steal_first)
+        assert result.steal_count > 0
+        # per-round and lifetime steals per gift, counted from the log
+        round_counts, total_counts = {}, {}
+        for rec in result.trajectory:
+            if type(rec.action) is Steal:
+                key = (rec.round, rec.gift)
+                round_counts[key] = round_counts.get(key, 0) + 1
+                total_counts[rec.gift] = total_counts.get(rec.gift, 0) + 1
+        assert max(round_counts.values()) == 1  # the chain lock, any per_round
         if limits.lifetime:
-            assert max(state.total_steals) <= limits.lifetime
+            assert max(total_counts.values()) <= limits.lifetime
+        end = replay(9, limits, result.trajectory)
+        assert end.total_steals[1:] == [total_counts.get(g, 0)
+                                        for g in range(1, 10)]
+
+
+@given(seed=st.integers(min_value=0, max_value=2000))
+@settings(max_examples=40, deadline=None)
+def test_stealable_gifts_matches_stealable(seed):
+    """Property: the inlined scan agrees with `stealable` in every state."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    state = initial_state(n, StealLimits(int(rng.integers(0, 3)),
+                                         int(rng.integers(0, 4))))
+    while not state.swap_pending:
+        for a in range(1, n + 1):
+            assert state.stealable_gifts(a) == [
+                g for g in state.opened_order
+                if state.holder[g] != a and state.stealable(g)]
+        actor = state.round if state.displaced is None else state.displaced
+        actions = state.legal_actions(actor)
+        action = actions[int(rng.integers(0, len(actions)))]
+        if isinstance(action, Open):
+            state.apply_open(actor, action.gift)
+        else:
+            state.apply_steal(actor, action.victim)
 
 
 # -- determinism --------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from giftex.behavior import BehaviorParams, Feature
 from giftex.engine import StealLimits
@@ -69,6 +72,47 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"player_count": 5})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"behavior": {"c_zero": 1}})
+
+
+@pytest.mark.parametrize("data", [
+    {"n_players": 2.9},
+    {"games_per_condition": True},
+    {"base_seed": "7"},
+    {"steal_limits": {"lifetime": 1.5}},
+    {"steal_limits": {"per_round": 1, "lifetme": 2}},
+    {"steal_limits": 3},
+    {"behavior": {"c0": math.nan}},
+    {"behavior": {"tau": math.inf}},
+    {"behavior": {"sigma_a": "0.3"}},
+    {"models": {"sigma_neg": math.nan}},
+    {"models": {"rho": math.inf}},
+])
+def test_config_rejects_bad_numbers(data):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict(data)
+
+
+non_negative = st.floats(0.0, 1e6)
+positive = st.floats(1e-9, 1e6)
+
+
+@given(cfg=st.builds(
+    ExperimentConfig,
+    n_players=st.integers(1, 500),
+    games_per_condition=st.integers(1, 10**6),
+    base_seed=st.integers(0, 2**32),
+    limits=st.builds(StealLimits, st.integers(0, 5), st.integers(0, 5)),
+    behavior=st.builds(
+        BehaviorParams,
+        **{**{f.name: non_negative for f in fields(BehaviorParams)},
+           "mu0": st.floats(-1e6, 1e6), "sigma0_sq": positive,
+           "sigma_a": positive}),
+    rho=st.floats(0.0, 1.0),
+    sigma_neg=positive,
+))
+def test_config_dict_round_trip_is_complete(cfg):
+    """Property: the JSON config echo records every field of the run."""
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 # -- single game -------------------------------------------------------------------

@@ -81,8 +81,10 @@ def test_negative_camp_means_match_quality():
 def test_invalid_parameters_rejected():
     with pytest.raises(ConfigurationError):
         ValuationModel(ModelKind.CORRELATED, rho=1.5)
-    with pytest.raises(ConfigurationError):
-        ValuationModel(ModelKind.NEGATIVE, sigma=0.0)
+    for bad in ({"sigma": 0.0}, {"sigma": float("nan")}, {"sigma": float("inf")},
+                {"rho": float("nan")}):
+        with pytest.raises(ConfigurationError):
+            ValuationModel(ModelKind.NEGATIVE, **bad)
     with pytest.raises(ConfigurationError):
         generate_valuations(IND, 0, np.random.default_rng(0))
 
