@@ -7,43 +7,68 @@ patterns (chain structures) times the choice of wrapped gift, giving
 
     T(n) = n! * prod_{k=1..n} A(k),   A(k) = sum_{j=0..k-1} (k-1)!/j!
 
-where A(k) is OEIS A000522 evaluated at k-1. A finite lifetime steal cap
-breaks the per-round independence; `count_trajectories` then runs a dynamic
-program over multisets of per-gift steal counts (gifts with identical steal
-histories are interchangeable, so the multiset is a sufficient state).
+where A(k) is OEIS A000522 evaluated at k-1; equivalently A(1) = 1 and
+A(k) = (k-1)*A(k-1) + 1, which is how it is computed here.
 
-Everything returns exact Python integers; `brute_force_count` is a deliberately
-naive enumeration oracle for cross-checking both routes at small n.
+A finite lifetime steal cap L breaks the per-round independence;
+`count_trajectories` then runs a round-by-round dynamic program over level
+profiles (m_0..m_L), where m_i is the number of opened gifts stolen i times.
+Gifts on one level are interchangeable, so the profile is a sufficient state.
+A chain that takes k_i gifts from each level i < L can be ordered in
+(sum k)! * prod C(m_i, k_i) ways; `count_chains` sums that over the choices
+without enumerating the orders.
+
+Everything returns exact Python integers and keeps no state between calls;
+`brute_force_count` is a deliberately naive enumeration oracle for
+cross-checking both routes at small n.
 """
 
 from __future__ import annotations
 
-from math import factorial
-from typing import Optional
+from math import comb, factorial
+from typing import Iterator
 
 from .engine import StealLimits
+from .errors import require_int
 
 UNLIMITED = 0  # lifetime sentinel, matching the engine's StealLimits encoding
 
-Multiset = tuple  # sorted tuple of per-gift steal counts
+Profile = tuple  # (m_0..m_L): opened gifts per lifetime steal count
+
+
+def _action_counts(n: int) -> Iterator[int]:
+    """A(1), ..., A(n) by the recurrence A(k) = (k-1)*A(k-1) + 1."""
+    a = 1
+    for k in range(1, n + 1):
+        yield a
+        a = k * a + 1
+
+
+def _tree_product(factors: list[int]) -> int:
+    """Product by pairwise rounds, so big factors meet big factors."""
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[2 * len(pairs):]
+    return factors[0]
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    require_int(name, value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def round_action_count(k: int) -> int:
     """A(k): action patterns in round k (chain structures, gift choice aside)."""
-    if k < 1:
-        raise ValueError(f"round index must be >= 1, got {k}")
-    f = factorial(k - 1)
-    return sum(f // factorial(j) for j in range(k))
+    _check_count("round index", k, 1)
+    *_, a = _action_counts(k)
+    return a
 
 
 def trajectory_count(n: int) -> int:
     """Closed form T(n) = n! * prod A(k) under standard rules."""
-    if n < 1:
-        raise ValueError(f"player count must be >= 1, got {n}")
-    product = 1
-    for k in range(1, n + 1):
-        product *= round_action_count(k)
-    return factorial(n) * product
+    _check_count("player count", n, 1)
+    return _tree_product([factorial(n), *_action_counts(n)])
 
 
 def trajectory_count_with_swap(n: int) -> int:
@@ -51,82 +76,56 @@ def trajectory_count_with_swap(n: int) -> int:
     return n * trajectory_count(n)
 
 
-def _increment(counts: Multiset, value: int) -> Multiset:
-    """Copy of `counts` with one instance of `value` incremented, re-sorted."""
-    out = list(counts)
-    out.remove(value)
-    out.append(value + 1)
-    out.sort()
-    return tuple(out)
+def count_chains(profile: Profile, lifetime: int) -> dict[Profile, int]:
+    """Count every nonempty stealing chain from a level profile.
 
-
-def _remove_one(counts: Multiset, value: int) -> Multiset:
-    out = list(counts)
-    out.remove(value)
-    return tuple(out)
-
-
-_chain_memo: dict[tuple[Multiset, Multiset], dict[Multiset, int]] = {}
-
-
-def count_chains(start: Multiset, targets: Multiset) -> dict[Multiset, int]:
-    """Enumerate every nonempty stealing chain over the available targets.
-
-    `targets` holds the steal counts of gifts currently below the lifetime
-    cap. Each chain steals an ordered sequence of distinct gifts (a stolen
-    gift is chain-locked and leaves the pool); the result maps the multiset
-    after the chain's increments to the number of ordered chains reaching it.
-    Gifts sharing a count are interchangeable, so a value with multiplicity m
-    contributes m ordered choices. Results are memoized; treat them as
-    read-only.
+    `profile` is (m_0..m_lifetime); gifts on levels below `lifetime` are
+    stealable. A chain steals distinct gifts (a stolen gift is chain-locked
+    until the round's open), moving each up one level. The result maps the
+    profile after the chain's steals to the number of ordered chains reaching
+    it. Levels are folded from the top down, so a gift moved up onto a level
+    already folded is never taken twice; the (chain length)! orderings are
+    applied once at the end.
     """
-    key = (start, targets)
-    cached = _chain_memo.get(key)
-    if cached is not None:
-        return cached
-    result: dict[Multiset, int] = {}
-    seen: set[int] = set()
-    for value in targets:
-        if value in seen:
-            continue
-        seen.add(value)
-        mult = targets.count(value)
-        after = _increment(start, value)
-        result[after] = result.get(after, 0) + mult  # victim opens, chain ends
-        remaining = _remove_one(targets, value)
-        for end_state, ways in count_chains(after, remaining).items():
-            result[end_state] = result.get(end_state, 0) + mult * ways
-    _chain_memo[key] = result
-    return result
+    # Distinct choices of the k_i reach distinct profiles: nothing to merge.
+    partial = [(profile, 0, 1)]  # (profile so far, chain length, ways)
+    for level in range(lifetime - 1, -1, -1):
+        folded = []
+        for counts, length, ways in partial:
+            folded.append((counts, length, ways))  # take none from this level
+            available = counts[level]
+            head, above, tail = counts[:level], counts[level + 1], counts[level + 2:]
+            for k in range(1, available + 1):
+                folded.append((head + (available - k, above + k) + tail,
+                               length + k, ways * comb(available, k)))
+        partial = folded
+    return {counts: ways * factorial(length)
+            for counts, length, ways in partial if length}
 
 
 def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
     """Exact trajectory count under a lifetime steal cap (0 = unlimited).
 
     The unlimited branch is the closed form. Otherwise a round-by-round DP
-    over steal-count multisets: from each reachable multiset, either open
-    immediately (append a fresh count of 0) or run any valid chain and then
-    append the terminating open's 0. The final multiplication by n! restores
-    which physical gift was opened each round.
+    over level profiles: from each reachable profile, either open immediately
+    or run any chain from `count_chains`, then add the opened gift on level
+    0. The final multiplication by n! restores which physical gift was opened
+    each round.
     """
-    if n < 1:
-        raise ValueError(f"player count must be >= 1, got {n}")
-    if lifetime < 0:
-        raise ValueError(f"lifetime must be >= 0, got {lifetime}")
+    _check_count("player count", n, 1)
+    _check_count("lifetime", lifetime, 0)
     if lifetime == UNLIMITED:
         return trajectory_count(n)
-    states: dict[Multiset, int] = {(0,): 1}  # after round 1: one unstolen gift
+    states: dict[Profile, int] = {(1,) + (0,) * lifetime: 1}  # after round 1
     for _ in range(2, n + 1):
-        nxt: dict[Multiset, int] = {}
+        chained: dict[Profile, int] = {}  # profiles before the round's open
         for counts, ways in states.items():
-            opened = tuple(sorted(counts + (0,)))
-            nxt[opened] = nxt.get(opened, 0) + ways
-            targets = tuple(c for c in counts if c < lifetime)
-            if targets:
-                for end_state, chain_ways in count_chains(counts, targets).items():
-                    new_state = tuple(sorted(end_state + (0,)))
-                    nxt[new_state] = nxt.get(new_state, 0) + ways * chain_ways
-        states = nxt
+            chains = count_chains(counts, lifetime)
+            chains[counts] = 1  # the empty chain: open at once
+            for after, chain_ways in chains.items():
+                chained[after] = chained.get(after, 0) + ways * chain_ways
+        states = {(after[0] + 1,) + after[1:]: ways
+                  for after, ways in chained.items()}
     return factorial(n) * sum(states.values())
 
 
@@ -140,10 +139,9 @@ def brute_force_count(n: int, limits: StealLimits) -> int:
     lifetime cap each checked per victim); each open multiplies by the number
     of wrapped gifts available at that moment, since fresh gifts are
     interchangeable until stolen. Knows nothing of the closed form or the
-    multiset DP. Guarded to n <= 6 against combinatorial explosion.
+    profile DP. Guarded to n <= 6 against combinatorial explosion.
     """
-    if n < 1:
-        raise ValueError(f"player count must be >= 1, got {n}")
+    _check_count("player count", n, 1)
     if n > _BRUTE_FORCE_MAX:
         raise ValueError(
             f"brute force enumeration is limited to n <= {_BRUTE_FORCE_MAX} (got {n})"

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ConfigurationError, IllegalMoveError, PhaseError
+from .errors import (ConfigurationError, IllegalMoveError, PhaseError,
+                     require_int)
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,8 @@ class StealLimits:
     lifetime: int = 0
 
     def __post_init__(self) -> None:
+        require_int("per_round", self.per_round)
+        require_int("lifetime", self.lifetime)
         if self.per_round < 0 or self.lifetime < 0:
             raise ConfigurationError("steal limits must be non-negative")
 

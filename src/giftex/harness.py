@@ -28,7 +28,7 @@ from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        frustration_decay, frustration_on_theft, steal_targets)
 from .beliefs import wrapped_gift_value
 from .engine import (STANDARD_LIMITS, GameResult, Open, StealLimits, run_game)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .strategies import (STRATEGY_ORDER, DecisionContext, Strategy,
                          choose_open_gift, decide as strategy_decide)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
@@ -56,6 +56,8 @@ class ExperimentConfig:
     sigma_neg: float = 0.2  # negative-model noise sd
 
     def __post_init__(self) -> None:
+        for key in ("n_players", "games_per_condition", "base_seed"):
+            require_int(key, getattr(self, key))
         if self.n_players < 1:
             raise ConfigurationError("n_players must be >= 1")
         if self.games_per_condition < 1:
@@ -90,16 +92,11 @@ class ExperimentConfig:
         data = _section(data, "config", {
             "n_players", "games_per_condition", "base_seed", "steal_limits",
             "behavior", "models"})
-        kwargs: dict = {}
-        for key in ("n_players", "games_per_condition", "base_seed"):
-            if key in data:
-                kwargs[key] = _integer(key, data[key])
+        kwargs = {key: data[key] for key in
+                  ("n_players", "games_per_condition", "base_seed") if key in data}
         if "steal_limits" in data:
-            sl = _section(data["steal_limits"], "steal_limits",
-                          {"per_round", "lifetime"})
-            kwargs["limits"] = StealLimits(
-                _integer("per_round", sl.get("per_round", 1)),
-                _integer("lifetime", sl.get("lifetime", 0)))
+            kwargs["limits"] = StealLimits(**_section(
+                data["steal_limits"], "steal_limits", {"per_round", "lifetime"}))
         if "behavior" in data:
             behavior = _section(data["behavior"], "behavior",
                                 {f.name for f in fields(BehaviorParams)})
@@ -120,13 +117,6 @@ def _section(value, name: str, allowed: set) -> dict:
     unknown = set(value) - allowed
     if unknown:
         raise ConfigurationError(f"unknown {name} keys: {sorted(unknown)}")
-    return value
-
-
-def _integer(key: str, value) -> int:
-    """`value` if it is an int; floats and bools are refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return value
 
 

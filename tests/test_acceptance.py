@@ -8,7 +8,7 @@ values the tables' own arithmetic supports:
 
 * ``test_criterion_1_inconsistent_reference_values`` checks T(6) and T(7)
   against the counting identity, confirmed by the brute-force oracle (n = 6)
-  and by the multiset DP under a cap that never binds (n = 7);
+  and by the level-profile DP under a cap that never binds (n = 7);
 * ``test_criterion_6_inconsistent_reference_magnitudes`` anchors BASE steals
   per game at the golden set the documented rule set follows
   (70.8/104.2/74.2, +-15%) and records the conflicting set.
@@ -50,7 +50,7 @@ def test_criterion_1_exact_combinatorics():
     assert [trajectory_count(n) for n in range(2, 6)] == \
         [4, 60, 3840, 1_248_000]
     # Routes beyond the closed form: T(6) by the brute-force oracle and the
-    # non-binding-cap DP (test_counting.py checks the DP for n <= 6), T(7) by
+    # non-binding-cap DP (test_counting.py checks the DP for n <= 10), T(7) by
     # the non-binding-cap DP (both in the test below); T(8) by the closed form
     # only. Engine enumeration (test_engine.py) reaches n <= 4.
     assert trajectory_count(6) == 2_441_088_000
@@ -75,7 +75,7 @@ def test_criterion_1_inconsistent_reference_values():
 
     The values below come from the identity T(n) = n! * prod A(k) and are
     confirmed by routes that do not use the closed form: the brute-force
-    oracle for n = 6 and the multiset DP for n = 7 under a lifetime cap of
+    oracle for n = 6 and the level-profile DP for n = 7 under a lifetime cap of
     n - 1, which never binds. (``count_trajectories(n, UNLIMITED)`` returns
     the closed form itself, so it is no check.)
     """
@@ -91,7 +91,7 @@ def test_criterion_1_inconsistent_reference_values():
         "T(7) = T(6) * 7 * A(7) = 3.34e13; the golden table's 3.31e13 matches "
         "neither value of T(6)")
     assert count_trajectories(7, 6) == t7, (
-        "multiset DP with a non-binding cap disagrees with T(7)")
+        "level-profile DP with a non-binding cap disagrees with T(7)")
     for n in (6, 7):
         assert trajectory_count(n) % factorial(n) == 0, n
     report(1, "T(6) = 2,441,088,000 and T(7) = 33,440,464,512,000 confirmed "

@@ -54,6 +54,11 @@ def test_count_lifetime(capsys):
     assert code == 0 and out.strip() == "42"
 
 
+def test_count_capped_sixteen_players(capsys):
+    code, out, _ = run_cli(capsys, "count", "--players", "16", "--lifetime", "3")
+    assert code == 0 and out.strip() == str(count_trajectories(16, 3))
+
+
 def test_count_oracle_agrees_with_default(capsys):
     for n in ("2", "3", "4", "5"):
         code, fast, _ = run_cli(capsys, "count", "--players", n)

@@ -1,8 +1,9 @@
-"""Exact combinatorics: closed form, multiset DP, and the enumeration oracle.
+"""Exact combinatorics: closed form, level-profile DP, and the enumeration oracle.
 
-The first three trajectory-count goldens are cross-validated in-repo three
-independent ways: closed form, multiset DP, and brute-force enumeration (see
-also the engine-driven enumeration in test_engine.py).
+Trajectory counts are cross-validated in-repo by independent routes: closed form,
+level-profile DP (under a cap that never binds), and brute-force enumeration
+(see also the engine-driven enumeration in test_engine.py). The capped counts
+are frozen in a golden table and checked against the oracle for n <= 6.
 """
 
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from giftex import counting
 from giftex.counting import (UNLIMITED, brute_force_count, count_chains,
                              count_trajectories, round_action_count,
                              trajectory_count, trajectory_count_with_swap)
@@ -20,6 +22,23 @@ A_GOLDEN = (1, 2, 5, 16, 65, 326, 1957, 13700)
 # Verified closed-form values; the brute-force oracle reproduces every entry
 # up to n=6 (n<=5 below, n=6 in the slow acceptance pass).
 T_GOLDEN = {1: 1, 2: 4, 3: 60, 4: 3840, 5: 1_248_000, 6: 2_441_088_000}
+# count_trajectories(n, L) for L = 1..4, frozen from the multiset DP that the
+# level-profile DP replaced; n <= 6 is also reproduced by the oracle below.
+CAPPED_GOLDEN = {
+    1: (1, 1, 1, 1),
+    2: (4, 4, 4, 4),
+    3: (42, 60, 60, 60),
+    4: (888, 3048, 3840, 3840),
+    5: (31920, 421800, 1053960, 1248000),
+    6: (1750320, 128938320, 1025154720, 2137221360),
+    7: (136115280, 74641185360, 2791025984880, 16175143756800),
+    8: (14254007040, 73432344222720, 17601854437560960,
+        421318899882760320),
+    9: (1934091250560, 113551613801256960, 224015038717430096640,
+        30494629054102379886720),
+    10: (330078373228800, 260323210448758598400,
+         5199621279867613122048000, 5220389622591883050774624000),
+}
 
 
 def test_round_action_count_golden():
@@ -31,10 +50,12 @@ def test_round_action_count_rejects_zero():
         round_action_count(0)
 
 
-@given(k=st.integers(2, 40))
+@given(k=st.integers(1, 40))
 def test_round_action_count_recurrence(k):
-    """Property: A(k) = (k-1) * A(k-1) + 1, an independent identity check."""
-    assert round_action_count(k) == (k - 1) * round_action_count(k - 1) + 1
+    """Property: A(k) equals its defining sum over (k-1)!/j!, which the
+    recurrence it is computed by does not use."""
+    assert round_action_count(k) == sum(
+        math.factorial(k - 1) // math.factorial(j) for j in range(k))
 
 
 def test_asymptotic_ratio_to_factorial_times_e():
@@ -59,7 +80,7 @@ def test_trajectory_count_with_swap():
     assert trajectory_count_with_swap(5) == 6_240_000
 
 
-# -- multiset DP ---------------------------------------------------------------
+# -- level-profile DP ---------------------------------------------------------
 
 def test_dp_unlimited_matches_closed_form():
     for n in range(1, 9):
@@ -68,8 +89,15 @@ def test_dp_unlimited_matches_closed_form():
 
 def test_dp_with_nonbinding_lifetime_matches_closed_form():
     # No gift can be stolen more than n-1 times, so lifetime >= n-1 never binds.
-    for n in range(2, 7):
+    # The DP's work grows fast with the cap: count_chains yields 0.8M chain
+    # outcomes over the rounds of n = 10 and 4.8M over those of n = 11.
+    for n in range(2, 11):
         assert count_trajectories(n, n - 1) == trajectory_count(n)
+
+
+def test_dp_capped_golden():
+    for n, row in CAPPED_GOLDEN.items():
+        assert tuple(count_trajectories(n, L) for L in range(1, 5)) == row, n
 
 
 def test_dp_three_players_lifetime_one():
@@ -78,7 +106,7 @@ def test_dp_three_players_lifetime_one():
 
 
 def test_dp_matches_brute_force_small_cases():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for lifetime in (1, 2, 3):
             assert count_trajectories(n, lifetime) == \
                 brute_force_count(n, StealLimits(1, lifetime))
@@ -98,28 +126,67 @@ def test_dp_rejects_bad_arguments():
         count_trajectories(3, -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: count_trajectories(5, 2.5),  # used to count lifetime 3
+    lambda: count_trajectories(5.0, 2),  # used to escape as a TypeError
+    lambda: count_trajectories(True),    # used to return 1
+    lambda: count_trajectories(4, True),
+    lambda: trajectory_count(5.0),
+    lambda: round_action_count(3.0),
+    lambda: brute_force_count(3.0, StealLimits(1, 0)),
+], ids=["lifetime-float", "n-float", "n-bool", "lifetime-bool",
+        "closed-form", "round-index", "oracle"])
+def test_counting_rejects_non_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_counting_keeps_no_hidden_state():
+    first = count_trajectories(14, 3)
+    assert count_trajectories(14, 3) == first
+    containers = [name for name, value in vars(counting).items()
+                  if not name.startswith("__")
+                  and isinstance(value, (dict, list, set))]
+    assert containers == []
+
+
 # -- chain enumeration ------------------------------------------------------------
 
 def test_count_chains_empty_targets():
-    assert count_chains((0,), ()) == {}
+    # The only opened gift sits at the cap, so no chain can start.
+    assert count_chains((0, 1), 1) == {}
 
 
 def test_count_chains_two_fresh_gifts():
-    # Chains over {0,0}: two of length 1 and two of length 2 = A(3) - 1.
-    got = count_chains((0, 0), (0, 0))
-    assert got == {(0, 1): 2, (1, 1): 2}
+    # Chains over two fresh gifts: two of length 1 and two of length 2.
+    got = count_chains((2, 0, 0), 2)
+    assert got == {(1, 1, 0): 2, (0, 2, 0): 2}
     assert sum(got.values()) == round_action_count(3) - 1
 
 
 def test_count_chains_single_target():
-    assert count_chains((0,), (0,)) == {(1,): 1}
+    assert count_chains((1, 0), 1) == {(0, 1): 1}
 
 
 def test_count_chains_respects_multiplicity():
-    got = count_chains((0, 0, 1), (0, 0))
-    # length-1 chains: 2 ways to steal a fresh gift; length-2: 2 ordered pairs
-    assert got[(0, 1, 1)] == 2
-    assert got[(1, 1, 1)] == 2
+    # length-1 chains: 2 ways to steal a fresh gift; length-2: 2 ordered
+    # pairs; the gift already at the cap is never a target.
+    assert count_chains((2, 1), 1) == {(1, 2): 2, (0, 3): 2}
+
+
+@given(lifetime=st.integers(1, 4), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_count_chains_total_is_ordered_selections(lifetime, data):
+    """Property: with M stealable gifts, the chains are the nonempty ordered
+    selections of distinct gifts, sum_{s=1..M} M!/(M-s)! = A(M+1) - 1."""
+    profile = tuple(data.draw(st.lists(st.integers(0, 3), min_size=lifetime + 1,
+                                       max_size=lifetime + 1)))
+    m = sum(profile[:lifetime])
+    got = count_chains(profile, lifetime)
+    want = sum(math.factorial(m) // math.factorial(m - s)
+               for s in range(1, m + 1))
+    assert sum(got.values()) == want == round_action_count(m + 1) - 1
+    assert all(sum(after) == sum(profile) for after in got)
 
 
 # -- brute force oracle --------------------------------------------------------------

@@ -52,8 +52,9 @@ def test_initial_state_rejects_empty_game():
 
 
 def test_bad_limits_rejected():
-    with pytest.raises(ConfigurationError):
-        StealLimits(-1, 0)
+    for per_round, lifetime in ((-1, 0), (1.5, 0.5), (True, 0), (1, "2")):
+        with pytest.raises(ConfigurationError):
+            StealLimits(per_round, lifetime)
 
 
 # -- stealability -----------------------------------------------------------

@@ -92,6 +92,16 @@ def test_config_rejects_bad_numbers(data):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_players": 2.9},
+    {"games_per_condition": True},
+    {"base_seed": 7.0},
+])
+def test_config_constructor_rejects_non_integers(kwargs):
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        ExperimentConfig(**kwargs)
+
+
 non_negative = st.floats(0.0, 1e6)
 positive = st.floats(1e-9, 1e6)
 
