@@ -29,9 +29,8 @@ from .harness import (Condition, ConditionSummary, ExperimentConfig,
                       PlayedGame, compute_effects, enumerate_conditions,
                       export, game_rng, game_trace, interaction, load_config,
                       main_effect, play_game, run_condition, run_experiment)
-from .strategies import (STRATEGY_ORDER, DecisionContext, Strategy,
-                         best_target, choose_open_gift, decide,
-                         parse_strategy)
+from .strategies import (STRATEGY_ORDER, Strategy, best_target,
+                         choose_open_gift, decide, parse_strategy)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                         ValuationModel, generate_appearance,
                         generate_valuations)

@@ -77,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _env_seed(args.seed)
     features = feature_set(*args.features.split(",")) if args.features else frozenset()
-    config = harness.ExperimentConfig(n_players=args.players)
+    config = harness.ExperimentConfig(n_players=args.players, base_seed=seed)
     model = config.model_for(ModelKind(args.model))
-    rng = harness.game_rng(seed, 0, 0)
+    rng = harness.game_rng(config.base_seed, 0, 0)
     game = harness.play_game(
         args.players, config.limits, model, features, BehaviorParams(), rng)
     result = game.result

@@ -80,8 +80,8 @@ class GameState:
     Attributes
     ----------
     ownership : list mapping seat -> gift id or None (index 0 unused)
-    holder : inverse map, gift -> seat or None
-    opened : gift -> bool status flags (False = still wrapped)
+    holder : inverse map, gift -> seat or None (None = still wrapped)
+    wrapped : ids of the still-wrapped gifts, ascending
     opened_order : gift ids in opening order
     chain_locked : gifts stolen in the current chain (cleared at chain end,
         which is also the round's end, so it doubles as the per-round cap)
@@ -91,7 +91,7 @@ class GameState:
     """
 
     __slots__ = (
-        "n", "limits", "ownership", "holder", "opened", "opened_order",
+        "n", "limits", "ownership", "holder", "wrapped", "opened_order",
         "chain_locked", "total_steals", "round", "displaced",
         "swap_pending", "concluded",
     )
@@ -101,7 +101,7 @@ class GameState:
         self.limits = limits
         self.ownership: list[Optional[int]] = [None] * (n + 1)
         self.holder: list[Optional[int]] = [None] * (n + 1)
-        self.opened: list[bool] = [False] * (n + 1)
+        self.wrapped: list[int] = list(range(1, n + 1))
         self.opened_order: list[int] = []
         self.chain_locked: set[int] = set()
         self.total_steals: list[int] = [0] * (n + 1)
@@ -113,7 +113,7 @@ class GameState:
     # -- queries ----------------------------------------------------------
 
     def wrapped_gifts(self) -> list[int]:
-        return [g for g in range(1, self.n + 1) if not self.opened[g]]
+        return list(self.wrapped)
 
     def stealable(self, gift: int) -> bool:
         """True iff `gift` passes the chain lock and the lifetime cap."""
@@ -139,7 +139,7 @@ class GameState:
     def legal_actions(self, actor: int) -> list[Action]:
         if self.swap_pending or self.concluded:
             raise PhaseError("rounds are over; only the final swap remains")
-        actions: list[Action] = [Open(g) for g in self.wrapped_gifts()]
+        actions: list[Action] = [Open(g) for g in self.wrapped]
         actions.extend(Steal(m) for m in self.valid_steal_targets(actor))
         return actions
 
@@ -149,13 +149,13 @@ class GameState:
         """Open `gift`, ending the current chain and the round."""
         if self.swap_pending or self.concluded:
             raise PhaseError("cannot open after the last round")
-        if not 1 <= gift <= self.n or self.opened[gift]:
+        if not 1 <= gift <= self.n or self.holder[gift] is not None:
             raise IllegalMoveError(f"gift {gift} is not available to open")
         if self.ownership[actor] is not None:
             raise IllegalMoveError(f"seat {actor} already holds a gift")
         self.ownership[actor] = gift
         self.holder[gift] = actor
-        self.opened[gift] = True
+        self.wrapped.remove(gift)
         self.opened_order.append(gift)
         self.chain_locked.clear()  # every open ends the chain and the round
         self.displaced = None

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -25,12 +24,14 @@ import numpy as np
 
 from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        SocialState, adaptive_prob_linear, feature_label,
-                       frustration_decay, frustration_on_theft, steal_targets)
+                       frustration_decay, frustration_on_theft,
+                       selection_weights, steal_targets)
 from .beliefs import wrapped_gift_value
-from .engine import (STANDARD_LIMITS, GameResult, Open, StealLimits, run_game)
+from .engine import (STANDARD_LIMITS, GameResult, Open, Steal, StealLimits,
+                     run_game)
 from .errors import ConfigurationError, require_int
-from .strategies import (STRATEGY_ORDER, DecisionContext, Strategy,
-                         choose_open_gift, decide as strategy_decide)
+from .strategies import (STRATEGY_ORDER, Strategy, choose_open_gift,
+                         decide as strategy_decide)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                         ValuationModel, generate_appearance,
                         generate_valuations)
@@ -62,6 +63,8 @@ class ExperimentConfig:
             raise ConfigurationError("n_players must be >= 1")
         if self.games_per_condition < 1:
             raise ConfigurationError("games_per_condition must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigurationError("base_seed must be >= 0")
         for kind in MODEL_ORDER:
             self.model_for(kind)  # validates rho and sigma_neg
 
@@ -69,21 +72,12 @@ class ExperimentConfig:
         return ValuationModel(kind, rho=self.rho, sigma=self.sigma_neg)
 
     def to_dict(self) -> dict:
-        b = self.behavior
         return {
             "n_players": self.n_players,
             "games_per_condition": self.games_per_condition,
             "base_seed": self.base_seed,
-            "steal_limits": {"per_round": self.limits.per_round,
-                             "lifetime": self.limits.lifetime},
-            "behavior": {
-                "c0": b.c0, "alpha": b.alpha, "beta": b.beta,
-                "gamma": b.gamma, "gamma_prime": b.gamma_prime, "p0": b.p0,
-                "lambda1": b.lambda1, "lambda2": b.lambda2, "lambda3": b.lambda3,
-                "tau": b.tau, "mu0": b.mu0, "sigma0_sq": b.sigma0_sq,
-                "sigma_a": b.sigma_a, "rho_risk": b.rho_risk,
-                "threshold": b.threshold,
-            },
+            "steal_limits": asdict(self.limits),
+            "behavior": asdict(self.behavior),
             "models": {"rho": self.rho, "sigma_neg": self.sigma_neg},
         }
 
@@ -178,10 +172,6 @@ class PlayedGame:
     valuations: ValuationMatrix
     appearance: AppearanceVector
 
-    def mean_chain_length(self) -> float:
-        chains = [c for c in self.result.chain_lengths if c > 0]
-        return sum(chains) / len(chains) if chains else 0.0
-
 
 def play_game(
     n: int,
@@ -222,10 +212,10 @@ def play_game(
         for g in range(1, n + 1):
             ce[g] = wrapped_gift_value(signals[g], params)
         ce_wrapped_sum = sum(ce)
-    wexp: Optional[list[float]] = None
+    weights: Optional[list[float]] = None
     if bs_on:
         sel_vals = ce if pi_on else signals
-        wexp = [0.0] + [math.exp(params.tau * sel_vals[g]) for g in range(1, n + 1)]
+        weights = [0.0] + selection_weights(sel_vals[1:], params.tau)
 
     # Steal history is read only by the SC cost, frustration only by the AD
     # gate, so each is kept only when its reader is on.
@@ -233,7 +223,6 @@ def play_game(
     sc_social = social if sc_on else None
     frustration = social.frustration
     opened_sum = [0.0] * (n + 1)  # per seat, over opened gifts
-    pool = list(range(1, n + 1))  # wrapped gift ids
 
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
     inv_n = 1.0 / n
@@ -243,46 +232,40 @@ def play_game(
         v_row = V[actor]
         own = st.ownership[actor]
         own_value = v_row[own] if own is not None else 0.0
-        targets = steal_targets(st, actor, v_row, own_value, sc_social, params)
-        opened_count = len(st.opened_order)
-        opened_mean = opened_sum[actor] / opened_count if opened_count else 0.0
-        wrapped_n = len(pool)
-        if pi_on:
-            wrapped_mean = ce_wrapped_sum / wrapped_n
-        else:
-            wrapped_mean = (total_sum[actor] - opened_sum[actor]) / wrapped_n
-        ctx = DecisionContext(
-            actor=actor,
-            phase=st.round * inv_n,
-            own_value=own_value,
-            targets=targets,
-            opened_mean=opened_mean,
-            wrapped_mean=wrapped_mean,
-            wrapped_pool=pool,
-            open_weights=wexp,
-            threshold=params.threshold,
-        )
-        if ad_on and game_rng.random() >= adaptive_prob_linear(
-                p0, ctx.phase, frustration[actor], own_value, l1, l2, l3):
-            action = Open(choose_open_gift(ctx, game_rng))
-        else:
-            action = strategy_decide(by_seat[actor], ctx, game_rng)
+        wrapped = st.wrapped
+        victim = None
+        # The AD gate's draw comes first (the exports pin the draw order);
+        # a closed gate opens without consulting the strategy.
+        if not ad_on or game_rng.random() < adaptive_prob_linear(
+                p0, st.round * inv_n, frustration[actor], own_value,
+                l1, l2, l3):
+            targets = steal_targets(st, actor, v_row, own_value, sc_social,
+                                    params)
+            opened_count = len(st.opened_order)
+            opened_mean = (opened_sum[actor] / opened_count
+                           if opened_count else 0.0)
+            if pi_on:
+                wrapped_mean = ce_wrapped_sum / len(wrapped)
+            else:
+                wrapped_mean = ((total_sum[actor] - opened_sum[actor])
+                                / len(wrapped))
+            victim = strategy_decide(by_seat[actor], targets, own_value,
+                                     opened_mean, wrapped_mean,
+                                     params.threshold, game_rng)
         # Bookkeeping happens here because the engine either applies exactly
         # this action or aborts the game.
-        if type(action) is Open:
-            g = action.gift
-            pool.remove(g)
+        if victim is None:
+            g = choose_open_gift(wrapped, weights, game_rng)
             for seat in range(1, n + 1):
                 opened_sum[seat] += V[seat][g]
             if pi_on:
                 ce_wrapped_sum -= ce[g]
-        else:
-            victim = action.victim
-            if sc_on:
-                social.note_steal(actor, victim)
-            if ad_on:
-                frustration_on_theft(social, victim, params.gamma)
-        return action
+            return Open(g)
+        if sc_on:
+            social.note_steal(actor, victim)
+        if ad_on:
+            frustration_on_theft(social, victim, params.gamma)
+        return Steal(victim)
 
     def swap(st, game_rng):
         # Seat 1 trades for its top-valued gift; strict improvement only.

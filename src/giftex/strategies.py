@@ -1,19 +1,16 @@
 """The six decision strategies and shared steal-target selection.
 
 Every decision point compares the best available steal against opening. A
-"target" bundles the victim seat, the net steal utility, and the perceived
-value of the victim's gift; the best target maximizes net utility with ties
-broken toward the lowest seat. All "exceeds" comparisons are strict, so exact
-ties favor opening.
+target is a (victim seat, net steal utility, perceived value of the victim's
+gift) triple; the best target maximizes net utility with ties broken toward
+the lowest seat. All "exceeds" comparisons are strict, so exact ties favor
+opening.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
-
-from .engine import Action, Open, Steal
 
 
 class Strategy(Enum):
@@ -39,49 +36,22 @@ def parse_strategy(name: str) -> Strategy:
     return Strategy(name.strip().lower())
 
 
-@dataclass(slots=True)
-class Target:
-    victim: int
-    net_utility: float
-    gift_value: float
-
-
-@dataclass(slots=True)
-class DecisionContext:
-    """Everything a strategy needs at one decision point.
-
-    Derived entirely from the game state plus valuations/beliefs/social state;
-    `targets` are (victim, net_utility, gift_value) triples over legal steals,
-    `open_weights` are unnormalized per-gift selection weights indexed by gift
-    id, index 0 unused (None means uniform opening).
-    """
-
-    actor: int
-    phase: float
-    own_value: float
-    targets: list[tuple[int, float, float]]
-    opened_mean: float
-    wrapped_mean: float
-    wrapped_pool: Sequence[int]
-    open_weights: Optional[Sequence[float]]
-    threshold: float
-
-
-def best_target(ctx: DecisionContext) -> Optional[Target]:
+def best_target(
+    targets: Sequence[tuple[int, float, float]],
+) -> Optional[tuple[int, float, float]]:
     """Legal target with maximal net utility; ties go to the lowest seat."""
-    best: Optional[tuple[int, float, float]] = None
-    for entry in ctx.targets:
+    best = None
+    for entry in targets:
         if best is None or entry[1] > best[1] or (entry[1] == best[1] and entry[0] < best[0]):
             best = entry
-    if best is None:
-        return None
-    return Target(victim=best[0], net_utility=best[1], gift_value=best[2])
+    return best
 
 
-def choose_open_gift(ctx: DecisionContext, rng) -> int:
-    """Pick a wrapped gift: uniform, or by selection weight when provided."""
-    pool = ctx.wrapped_pool
-    weights = ctx.open_weights
+def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
+                     rng) -> int:
+    """Pick a wrapped gift from `pool`: uniform when `weights` is None, else
+    by the selection weight indexed by gift id."""
+    assert pool, "no wrapped gift available at a decision point"
     if weights is None:
         return pool[int(rng.integers(0, len(pool)))]
     total = 0.0
@@ -96,31 +66,30 @@ def choose_open_gift(ctx: DecisionContext, rng) -> int:
     return pool[-1]  # r == total under float roundoff
 
 
-def decide(kind: Strategy, ctx: DecisionContext, rng) -> Action:
-    """Steal-or-open decision for one strategy at one decision point.
+def decide(kind: Strategy, targets: Sequence[tuple[int, float, float]],
+           own_value: float, opened_mean: float, wrapped_mean: float,
+           threshold: float, rng) -> Optional[int]:
+    """Steal-or-open decision for one strategy at one decision point: the
+    victim seat to steal from, or None to open.
 
-    The wrapped pool is never empty at a legal decision point, so opening is
-    always available; only COIN_FLIP and weighted opening consume randomness.
+    Only COIN_FLIP consumes randomness, and only when a target exists.
     """
-    assert ctx.wrapped_pool, "no wrapped gift available at a decision point"
-    best = best_target(ctx)
-    steal = False
-    if kind is Strategy.ALWAYS_OPEN:
-        steal = False
-    elif kind is Strategy.ALWAYS_STEAL:
-        steal = best is not None
+    best = best_target(targets)
+    if best is None or kind is Strategy.ALWAYS_OPEN:
+        return None
+    victim, net_utility, gift_value = best
+    if kind is Strategy.ALWAYS_STEAL:
+        steal = True
     elif kind is Strategy.COIN_FLIP:
-        steal = best is not None and rng.random() < 0.5
+        steal = rng.random() < 0.5
     elif kind is Strategy.MEAN_BASED:
-        steal = best is not None and best.gift_value > ctx.opened_mean
+        steal = gift_value > opened_mean
     elif kind is Strategy.THRESHOLD:
-        steal = best is not None and best.net_utility > ctx.threshold
+        steal = net_utility > threshold
     elif kind is Strategy.EXPECTED_VALUE:
         # Opening a random wrapped gift nets (pool mean - current holding);
         # steal wins only when its net beats that.
-        steal = best is not None and best.net_utility > ctx.wrapped_mean - ctx.own_value
+        steal = net_utility > wrapped_mean - own_value
     else:
         raise ValueError(f"unknown strategy {kind!r}")
-    if steal:
-        return Steal(best.victim)
-    return Open(choose_open_gift(ctx, rng))
+    return victim if steal else None

@@ -113,6 +113,12 @@ def test_simulate_bad_feature_is_exit_two(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_simulate_negative_seed_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--players", "3",
+                             "--seed", "-3")
+    assert code == 2 and "base_seed" in err and not out
+
+
 def test_env_var_seed_used_when_flag_absent(capsys, monkeypatch):
     monkeypatch.setenv("GIFTEX_SEED", "9")
     _, with_env, _ = run_cli(capsys, "simulate", "--players", "4")
@@ -166,6 +172,23 @@ def test_experiment_bad_config_is_exit_two(tmp_path, capsys, config):
                            "--out", str(tmp_path), "--config", str(path))
     assert code == 2 and "error:" in err
     assert not (tmp_path / "experiment.csv").exists()
+
+
+def test_experiment_negative_seed_is_exit_two(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--seed", "-1",
+                           "--jobs", "2", "--out", str(tmp_path))
+    assert code == 2 and "base_seed" in err
+    assert not (tmp_path / "experiment.csv").exists()
+
+
+def test_experiment_large_temperature_runs(tmp_path, capsys):
+    # tau * v above 709 overflows a bare exp(tau * v).
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"behavior": {"tau": 1000}}))
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--jobs", "1",
+                           "--out", str(tmp_path), "--config", str(path))
+    assert code == 0, err
+    assert len((tmp_path / "experiment.csv").read_text().splitlines()) == 49
 
 
 def test_unknown_subcommand_exits_two():

@@ -184,7 +184,7 @@ def test_chain_example_bookkeeping():
     for seat, gift in ((4, 3), (2, 5), (1, 1), (3, 2), (5, 4), (6, 7)):
         s.ownership[seat] = gift
         s.holder[gift] = seat
-        s.opened[gift] = True
+        s.wrapped.remove(gift)
         s.opened_order.append(gift)
     s.apply_steal(7, 4)
     assert s.ownership[7] == 3 and s.ownership[4] is None
@@ -347,7 +347,9 @@ def test_ownership_injective_after_every_transition(seed):
             state.apply_steal(actor, action.victim)
         owned = [g for g in state.ownership[1:] if g is not None]
         assert len(owned) == len(set(owned))
-        opened = sum(state.opened[1:])
+        assert state.wrapped == sorted(
+            g for g in range(1, n + 1) if state.holder[g] is None)
+        opened = n - len(state.wrapped)
         # after round k completes, exactly k gifts are opened
         if state.displaced is None:
             assert opened == (state.round - 1 if not state.swap_pending else n)
@@ -358,7 +360,8 @@ def test_exactly_k_opened_after_round_k():
     state = initial_state(12)
     for k in range(1, 13):
         run_round(state, random_policy, rng)
-        assert sum(state.opened[1:]) == k
+        assert sum(h is not None for h in state.holder[1:]) == k
+        assert len(state.wrapped) == 12 - k
 
 
 def steal_first(state, actor, rng):

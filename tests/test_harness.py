@@ -1,5 +1,6 @@
 """Experiment harness: conditions, per-game seeding, aggregation, export."""
 
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -102,6 +103,14 @@ def test_config_constructor_rejects_non_integers(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_config_rejects_negative_seed():
+    # numpy refuses negative seeds only once a game's generator is built,
+    # which under --jobs is inside a worker; the record refuses them first.
+    with pytest.raises(ConfigurationError, match="base_seed"):
+        ExperimentConfig(base_seed=-1)
+    assert ExperimentConfig(base_seed=0).base_seed == 0
+
+
 non_negative = st.floats(0.0, 1e6)
 positive = st.floats(1e-9, 1e6)
 
@@ -168,6 +177,16 @@ def test_base_and_pi_only_identical_for_always_steal_population():
                        cfg.behavior, game_rng(7, 5, idx),
                        fixed_strategy=Strategy.ALWAYS_STEAL)
         assert base.result == pi.result
+
+
+def test_biased_selection_at_large_temperature_plays_out():
+    # exp(tau * v) overflows a float for tau * v > 709; the softmax weights
+    # are taken relative to the top value, so they stay in [0, 1].
+    params = BehaviorParams(tau=1000.0)
+    for features in (frozenset({Feature.BS}), frozenset(Feature)):
+        game = play_game(29, StealLimits(), ExperimentConfig().model_for(
+            ModelKind.INDEPENDENT), features, params, game_rng(42, 8, 0))
+        assert sorted(game.result.final_ownership.values()) == list(range(1, 30))
 
 
 def test_game_trace_is_json_serializable():
@@ -309,6 +328,22 @@ def test_json_round_trips_summary_fields(tmp_path):
             assert row[f"seat_{i + 1}"] == round(v, 6)
     assert "main_effects" in doc["effects"]
     assert "PIxSC" in doc["effects"]["interactions"]["independent"]
+
+
+def test_export_bytes_are_pinned(tmp_path):
+    """Golden bytes of a small full factorial: a change to play,
+    aggregation or export that moves any output byte fails here."""
+    cfg = ExperimentConfig(n_players=8, games_per_condition=5, base_seed=42)
+    summaries = run_experiment(cfg, jobs=1)
+    effects = compute_effects(summaries)
+    want = {
+        "csv": "fa3cce5872e6962c605350601205bbb913bcc3740b49be516aa28c2bacc7c3c5",
+        "json": "0caab6dbbf0c44e57fbce51d917e166822f4509ac8cadad5d4867399da3a73da",
+    }
+    for fmt, digest in want.items():
+        path = tmp_path / f"experiment.{fmt}"
+        export(summaries, effects, fmt, path, config=cfg)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
 
 
 def test_export_rejects_unknown_format(tmp_path):

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giftex.engine import Open, Steal
-from giftex.strategies import (STRATEGY_ORDER, DecisionContext, Strategy,
-                               best_target, choose_open_gift, decide,
-                               parse_strategy)
+from giftex.behavior import selection_weights
+from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
+                               choose_open_gift, decide, parse_strategy)
 
 
-def make_ctx(targets=(), wrapped=(7, 8, 9), opened_mean=0.5, wrapped_mean=0.5,
-             own=0.0, weights=None, threshold=0.6, phase=0.5):
-    return DecisionContext(
-        actor=1, phase=phase, own_value=own, targets=list(targets),
-        opened_mean=opened_mean, wrapped_mean=wrapped_mean,
-        wrapped_pool=list(wrapped), open_weights=weights, threshold=threshold)
+def run(kind, targets=(), opened_mean=0.5, wrapped_mean=0.5, own=0.0,
+        threshold=0.6, rng=None):
+    """`decide` with the defaults these tests share: the victim or None."""
+    return decide(kind, list(targets), own, opened_mean, wrapped_mean,
+                  threshold, RNG if rng is None else rng)
 
 
 RNG = np.random.default_rng(0)
@@ -32,82 +30,71 @@ def test_strategy_names_are_the_cli_identifiers():
 # -- best_target ----------------------------------------------------------------
 
 def test_best_target_none_without_owners():
-    assert best_target(make_ctx()) is None
+    assert best_target([]) is None
 
 
 def test_best_target_takes_argmax():
-    ctx = make_ctx(targets=[(4, 0.2, 0.6), (2, 0.5, 0.9)])
-    best = best_target(ctx)
-    assert best.victim == 2 and best.net_utility == 0.5
+    assert best_target([(4, 0.2, 0.6), (2, 0.5, 0.9)]) == (2, 0.5, 0.9)
 
 
 def test_best_target_tie_breaks_to_lowest_seat():
-    ctx = make_ctx(targets=[(5, 0.5, 0.7), (3, 0.5, 0.9)])
-    assert best_target(ctx).victim == 3
+    assert best_target([(5, 0.5, 0.7), (3, 0.5, 0.9)])[0] == 3
 
 
 # -- decision rules ---------------------------------------------------------------
 
 def test_always_open_opens():
-    action = decide(Strategy.ALWAYS_OPEN, make_ctx(targets=[(2, 0.9, 0.9)]), RNG)
-    assert isinstance(action, Open)
+    assert run(Strategy.ALWAYS_OPEN, targets=[(2, 0.9, 0.9)]) is None
 
 
 def test_always_steal_without_targets_opens():
-    action = decide(Strategy.ALWAYS_STEAL, make_ctx(), RNG)
-    assert isinstance(action, Open)
+    assert run(Strategy.ALWAYS_STEAL) is None
 
 
 def test_always_steal_takes_best():
-    action = decide(Strategy.ALWAYS_STEAL,
-                    make_ctx(targets=[(2, 0.1, 0.1), (3, 0.4, 0.4)]), RNG)
-    assert action == Steal(3)
+    assert run(Strategy.ALWAYS_STEAL,
+               targets=[(2, 0.1, 0.1), (3, 0.4, 0.4)]) == 3
 
 
 def test_coin_flip_splits_roughly_in_half():
     rng = np.random.default_rng(123)
-    ctx = make_ctx(targets=[(2, 0.9, 0.9)])
-    outcomes = [isinstance(decide(Strategy.COIN_FLIP, ctx, rng), Steal)
+    outcomes = [run(Strategy.COIN_FLIP, targets=[(2, 0.9, 0.9)], rng=rng) == 2
                 for _ in range(2000)]
     assert 0.45 < np.mean(outcomes) < 0.55
 
 
 def test_mean_based_compares_gift_value_to_opened_mean():
-    steal_ctx = make_ctx(targets=[(2, 0.3, 0.8)], opened_mean=0.7)
-    assert decide(Strategy.MEAN_BASED, steal_ctx, RNG) == Steal(2)
-    open_ctx = make_ctx(targets=[(2, 0.3, 0.6)], opened_mean=0.7)
-    assert isinstance(decide(Strategy.MEAN_BASED, open_ctx, RNG), Open)
-    tie_ctx = make_ctx(targets=[(2, 0.3, 0.7)], opened_mean=0.7)
-    assert isinstance(decide(Strategy.MEAN_BASED, tie_ctx, RNG), Open)
+    assert run(Strategy.MEAN_BASED, targets=[(2, 0.3, 0.8)],
+               opened_mean=0.7) == 2
+    assert run(Strategy.MEAN_BASED, targets=[(2, 0.3, 0.6)],
+               opened_mean=0.7) is None
+    assert run(Strategy.MEAN_BASED, targets=[(2, 0.3, 0.7)],
+               opened_mean=0.7) is None  # tie
 
 
 def test_threshold_boundary_is_strict():
-    below = make_ctx(targets=[(2, 0.59, 0.59)])
-    above = make_ctx(targets=[(2, 0.61, 0.61)])
-    exact = make_ctx(targets=[(2, 0.60, 0.60)])
-    assert isinstance(decide(Strategy.THRESHOLD, below, RNG), Open)
-    assert decide(Strategy.THRESHOLD, above, RNG) == Steal(2)
-    assert isinstance(decide(Strategy.THRESHOLD, exact, RNG), Open)
+    assert run(Strategy.THRESHOLD, targets=[(2, 0.59, 0.59)]) is None
+    assert run(Strategy.THRESHOLD, targets=[(2, 0.61, 0.61)]) == 2
+    assert run(Strategy.THRESHOLD, targets=[(2, 0.60, 0.60)]) is None
 
 
 def test_expected_value_compares_net_to_opening_net():
     # wrapped-pool mean 0.5, empty-handed, best steal net 0.7: steal
-    ctx = make_ctx(targets=[(2, 0.7, 0.7)], wrapped_mean=0.5)
-    assert decide(Strategy.EXPECTED_VALUE, ctx, RNG) == Steal(2)
+    assert run(Strategy.EXPECTED_VALUE, targets=[(2, 0.7, 0.7)],
+               wrapped_mean=0.5) == 2
     # best net below the opening net: open
-    ctx = make_ctx(targets=[(2, 0.3, 0.3)], wrapped_mean=0.5)
-    assert isinstance(decide(Strategy.EXPECTED_VALUE, ctx, RNG), Open)
+    assert run(Strategy.EXPECTED_VALUE, targets=[(2, 0.3, 0.3)],
+               wrapped_mean=0.5) is None
     # holding something shifts the opening side down
-    ctx = make_ctx(targets=[(2, 0.3, 0.7)], wrapped_mean=0.5, own=0.4)
-    assert decide(Strategy.EXPECTED_VALUE, ctx, RNG) == Steal(2)
+    assert run(Strategy.EXPECTED_VALUE, targets=[(2, 0.3, 0.7)],
+               wrapped_mean=0.5, own=0.4) == 2
 
 
 # -- gift choice --------------------------------------------------------------------
 
 def test_uniform_choice_covers_the_pool():
     rng = np.random.default_rng(7)
-    ctx = make_ctx(wrapped=(4, 5, 6))
-    seen = {choose_open_gift(ctx, rng) for _ in range(200)}
+    seen = {choose_open_gift([4, 5, 6], None, rng) for _ in range(200)}
     assert seen == {4, 5, 6}
 
 
@@ -115,32 +102,25 @@ def test_weighted_choice_prefers_heavy_gifts():
     rng = np.random.default_rng(8)
     weights = [0.0] * 10
     weights[4], weights[5] = 1.0, 99.0
-    ctx = make_ctx(wrapped=(4, 5), weights=weights)
-    picks = [choose_open_gift(ctx, rng) for _ in range(1000)]
+    picks = [choose_open_gift([4, 5], weights, rng) for _ in range(1000)]
     assert picks.count(5) > 930
 
 
 def test_weighted_choice_matches_softmax_probabilities():
-    from giftex.behavior import selection_weights
-    import math
-    values = {4: 0.2, 5: 0.8}
     tau = 2.0
-    weights = [0.0] * 10
-    for g, v in values.items():
-        weights[g] = math.exp(tau * v)
-    ctx = make_ctx(wrapped=(4, 5), weights=weights)
+    weights = [0.0] * 4 + selection_weights([0.2, 0.8], tau)  # gifts 4, 5
     rng = np.random.default_rng(9)
-    picks = np.array([choose_open_gift(ctx, rng) for _ in range(20000)])
-    want = selection_weights([0.2, 0.8], tau)
-    assert np.mean(picks == 4) == pytest.approx(want[0], abs=0.02)
+    picks = np.array([choose_open_gift([4, 5], weights, rng)
+                      for _ in range(20000)])
+    # exp(0.4) / (exp(0.4) + exp(1.6)), written out
+    assert np.mean(picks == 4) == pytest.approx(0.23147521650098235, abs=0.02)
 
 
 def test_extreme_weight_is_effectively_deterministic():
     rng = np.random.default_rng(10)
     weights = [0.0] * 10
     weights[7], weights[8] = 1e-12, 1e12
-    ctx = make_ctx(wrapped=(7, 8), weights=weights)
-    assert all(choose_open_gift(ctx, rng) == 8 for _ in range(100))
+    assert all(choose_open_gift([7, 8], weights, rng) == 8 for _ in range(100))
 
 
 # -- legality fuzz --------------------------------------------------------------------
@@ -148,27 +128,25 @@ def test_extreme_weight_is_effectively_deterministic():
 @given(seed=st.integers(0, 5000))
 @settings(max_examples=200, deadline=None)
 def test_decide_never_returns_an_illegal_action(seed):
-    """Property: the chosen action is always among the context's options."""
+    """Property: the victim is always a target's owner, and an open always
+    draws from the pool."""
     rng = np.random.default_rng(seed)
     n_targets = int(rng.integers(0, 5))
     targets = [(int(v) + 2, float(rng.random()), float(rng.random()))
                for v in rng.choice(20, size=n_targets, replace=False)]
     pool = [int(g) + 30 for g in rng.choice(10, size=int(rng.integers(1, 6)),
                                             replace=False)]
-    ctx = make_ctx(targets=targets, wrapped=pool,
-                   opened_mean=float(rng.random()),
-                   wrapped_mean=float(rng.random()))
     kind = STRATEGY_ORDER[int(rng.integers(0, 6))]
-    action = decide(kind, ctx, rng)
-    if isinstance(action, Open):
-        assert action.gift in pool
+    victim = run(kind, targets=targets, opened_mean=float(rng.random()),
+                 wrapped_mean=float(rng.random()), rng=rng)
+    if victim is None:
+        assert choose_open_gift(pool, None, rng) in pool
     else:
-        assert action.victim in [t[0] for t in targets]
+        assert victim in [t[0] for t in targets]
         if kind is Strategy.ALWAYS_OPEN:
             pytest.fail("always_open must never steal")
 
 
-def test_decide_asserts_on_empty_pool():
-    ctx = make_ctx(wrapped=())
+def test_choose_open_gift_asserts_on_empty_pool():
     with pytest.raises(AssertionError):
-        decide(Strategy.ALWAYS_OPEN, ctx, RNG)
+        choose_open_gift([], None, RNG)
