@@ -11,15 +11,14 @@ number of distinct game trajectories.
 """
 
 from .behavior import (ALL_FEATURES, BehaviorParams, Feature, SocialState,
-                       adaptive_prob_linear, adaptive_prob_logit,
-                       feature_label, feature_set, frustration_decay,
-                       frustration_on_theft, selection_weights,
-                       steal_targets)
+                       adaptive_prob_linear, feature_label, feature_set,
+                       frustration_decay, frustration_on_theft,
+                       selection_weights, steal_targets)
 from .beliefs import (Posterior, Prior, certainty_equivalent, posterior,
                       wrapped_gift_value)
 from .counting import (UNLIMITED, brute_force_count, count_chains,
                        count_trajectories, round_action_count,
-                       trajectory_count, trajectory_count_with_swap)
+                       trajectory_count)
 from .engine import (STANDARD_LIMITS, ActionRecord, GameResult, GameState,
                      Open, Steal, StealLimits, Swap, initial_state, replay,
                      run_game, run_round)
@@ -30,7 +29,7 @@ from .harness import (Condition, ConditionSummary, ExperimentConfig,
                       export, game_rng, game_trace, interaction, load_config,
                       main_effect, play_game, run_condition, run_experiment)
 from .strategies import (STRATEGY_ORDER, Strategy, best_target,
-                         choose_open_gift, decide, parse_strategy)
+                         choose_open_gift, decide)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                         ValuationModel, generate_appearance,
                         generate_valuations)

@@ -169,18 +169,6 @@ def adaptive_prob_linear(
     return min(0.95, max(0.05, p))
 
 
-def adaptive_prob_logit(
-    delta_u: float, phase: float, frustration: float, satisfaction: float,
-    lambda1: float, lambda2: float, lambda3: float, mu_logit: float,
-) -> float:
-    """Sigmoid of the systematic utility difference, scale mu_logit."""
-    if mu_logit <= 0:
-        raise ConfigurationError("mu_logit must be positive")
-    x = (delta_u + lambda1 * phase + lambda2 * frustration
-         - lambda3 * satisfaction) / mu_logit
-    return 1.0 / (1.0 + math.exp(-x))
-
-
 def selection_weights(values: Sequence[float], tau: float) -> list[float]:
     """Softmax weights exp(tau * v) / sum, shift-invariant and summing to 1."""
     if len(values) == 0:

@@ -2,8 +2,8 @@
 experiment, and exact trajectory counting.
 
 Exit codes: 0 success, 2 usage or invalid parameter values, 1 I/O failure.
-The environment variable GIFTEX_SEED overrides the default seed whenever
---seed is not given.
+The seed is --seed, else the environment variable GIFTEX_SEED, else the
+default: 42 for simulate, the config file's base_seed for experiment.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,7 +25,8 @@ from .valuation import ModelKind
 DEFAULT_SEED = 42
 
 
-def _env_seed(value: Optional[int]) -> int:
+def _env_seed(value: Optional[int], default: int) -> int:
+    """`value` if given, else GIFTEX_SEED if set, else `default`."""
     if value is not None:
         return value
     env = os.environ.get("GIFTEX_SEED")
@@ -33,7 +35,7 @@ def _env_seed(value: Optional[int]) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"GIFTEX_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    return default
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _env_seed(args.seed)
+    seed = _env_seed(args.seed, DEFAULT_SEED)
     features = feature_set(*args.features.split(",")) if args.features else frozenset()
     config = harness.ExperimentConfig(n_players=args.players, base_seed=seed)
     model = config.model_for(ModelKind(args.model))
@@ -111,17 +113,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         config = harness.load_config(args.config)
     else:
         config = harness.ExperimentConfig()
-    overrides = {}
+    overrides = {"base_seed": _env_seed(args.seed, config.base_seed)}
     if args.games is not None:
         overrides["games_per_condition"] = args.games
-    seed = args.seed
-    if seed is None and "GIFTEX_SEED" in os.environ:
-        seed = _env_seed(None)
-    if seed is not None:
-        overrides["base_seed"] = seed
-    if overrides:
-        import dataclasses
-        config = dataclasses.replace(config, **overrides)
+    config = replace(config, **overrides)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     summaries = harness.run_experiment(config, jobs=jobs)
     effects = harness.compute_effects(summaries)

@@ -71,11 +71,6 @@ def trajectory_count(n: int) -> int:
     return _tree_product([factorial(n), *_action_counts(n)])
 
 
-def trajectory_count_with_swap(n: int) -> int:
-    """T(n) times the n final-swap choices (keep, or trade with any seat)."""
-    return n * trajectory_count(n)
-
-
 def count_chains(profile: Profile, lifetime: int) -> dict[Profile, int]:
     """Count every nonempty stealing chain from a level profile.
 

@@ -112,9 +112,6 @@ class GameState:
 
     # -- queries ----------------------------------------------------------
 
-    def wrapped_gifts(self) -> list[int]:
-        return list(self.wrapped)
-
     def stealable(self, gift: int) -> bool:
         """True iff `gift` passes the chain lock and the lifetime cap."""
         lifetime = self.limits.lifetime
@@ -132,16 +129,12 @@ class GameState:
                 if holder[g] != actor and g not in locked
                 and not (lifetime and total[g] >= lifetime)]
 
-    def valid_steal_targets(self, actor: int) -> list[int]:
-        """Seats owning a stealable opened gift, excluding the actor, by seat."""
-        return sorted(self.holder[g] for g in self.stealable_gifts(actor))
-
     def legal_actions(self, actor: int) -> list[Action]:
+        """Opens by gift id, then steals by seat: the exhaustive-play oracle."""
         if self.swap_pending or self.concluded:
             raise PhaseError("rounds are over; only the final swap remains")
-        actions: list[Action] = [Open(g) for g in self.wrapped]
-        actions.extend(Steal(m) for m in self.valid_steal_targets(actor))
-        return actions
+        victims = sorted(self.holder[g] for g in self.stealable_gifts(actor))
+        return [Open(g) for g in self.wrapped] + [Steal(m) for m in victims]
 
     # -- transitions ------------------------------------------------------
 

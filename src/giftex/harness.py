@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -37,6 +38,11 @@ from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                         generate_valuations)
 
 MODEL_ORDER = (ModelKind.INDEPENDENT, ModelKind.CORRELATED, ModelKind.NEGATIVE)
+
+# When less than this much selection weight is left wrapped, the pool's weights
+# are re-derived over the pool itself: far above float underflow, and far
+# below what any pool holds at the default temperature.
+_REWEIGHT_BELOW = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +146,6 @@ class Condition:
     def label(self) -> str:
         return feature_label(self.features)
 
-    @property
-    def id(self) -> str:
-        return f"{self.model_kind.value}/{self.label}"
-
 
 def enumerate_conditions(config: ExperimentConfig) -> list[Condition]:
     """All 48 conditions: models in fixed order, feature subsets in
@@ -212,10 +214,11 @@ def play_game(
         for g in range(1, n + 1):
             ce[g] = wrapped_gift_value(signals[g], params)
         ce_wrapped_sum = sum(ce)
+    sel_vals = ce if pi_on else signals
     weights: Optional[list[float]] = None
     if bs_on:
-        sel_vals = ce if pi_on else signals
         weights = [0.0] + selection_weights(sel_vals[1:], params.tau)
+    wrapped_weight = 1.0  # of `weights`, over the still-wrapped gifts
 
     # Steal history is read only by the SC cost, frustration only by the AD
     # gate, so each is kept only when its reader is on.
@@ -228,7 +231,7 @@ def play_game(
     inv_n = 1.0 / n
 
     def decide(st, actor, game_rng):
-        nonlocal ce_wrapped_sum
+        nonlocal ce_wrapped_sum, wrapped_weight
         v_row = V[actor]
         own = st.ownership[actor]
         own_value = v_row[own] if own is not None else 0.0
@@ -255,11 +258,20 @@ def play_game(
         # Bookkeeping happens here because the engine either applies exactly
         # this action or aborts the game.
         if victim is None:
+            if bs_on and wrapped_weight < _REWEIGHT_BELOW:
+                # Weights normalized over all n gifts underflow once the
+                # heavy ones are open; normalize over what is left instead.
+                for gift, w in zip(wrapped, selection_weights(
+                        [sel_vals[gift] for gift in wrapped], params.tau)):
+                    weights[gift] = w
+                wrapped_weight = 1.0
             g = choose_open_gift(wrapped, weights, game_rng)
             for seat in range(1, n + 1):
                 opened_sum[seat] += V[seat][g]
             if pi_on:
                 ce_wrapped_sum -= ce[g]
+            if bs_on:
+                wrapped_weight -= weights[g]
             return Open(g)
         if sc_on:
             social.note_steal(actor, victim)
@@ -500,36 +512,25 @@ def compute_effects(
 # export
 # ---------------------------------------------------------------------------
 
-def _csv_header(n_seats: int) -> list[str]:
-    return (
-        ["condition_id", "model", "features", "games", "steals_per_game",
-         "mean_chain_length"]
-        + [f"seat_{i}" for i in range(1, n_seats + 1)]
-        + [f"strat_{s.value}" for s in STRATEGY_ORDER]
-    )
+@cache
+def _seat_names(n_seats: int) -> tuple[str, ...]:
+    """Formatted once per seat count rather than once per exported row."""
+    return tuple(f"seat_{i}" for i in range(1, n_seats + 1))
 
 
-def _csv_row(s: ConditionSummary) -> list[str]:
-    return (
-        [f"{s.model}/{s.features}", s.model, s.features, str(s.games),
-         f"{s.steals_per_game:.6f}", f"{s.mean_chain_length:.6f}"]
-        + [f"{v:.6f}" for v in s.seat_means]
-        + [f"{s.strategy_means[st.value]:.6f}" for st in STRATEGY_ORDER]
-    )
-
-
-def _summary_jsonable(s: ConditionSummary) -> dict:
-    return {
-        "condition_id": f"{s.model}/{s.features}",
-        "model": s.model,
-        "features": s.features,
-        "games": s.games,
-        "steals_per_game": round(s.steals_per_game, 6),
-        "mean_chain_length": round(s.mean_chain_length, 6),
-        **{f"seat_{i + 1}": round(v, 6) for i, v in enumerate(s.seat_means)},
-        **{f"strat_{st.value}": round(s.strategy_means[st.value], 6)
-           for st in STRATEGY_ORDER},
-    }
+def _columns(s: ConditionSummary) -> list[tuple[str, Union[str, int, float]]]:
+    """One condition's export columns, (name, value), in their fixed order."""
+    return [
+        ("condition_id", f"{s.model}/{s.features}"),
+        ("model", s.model),
+        ("features", s.features),
+        ("games", s.games),
+        ("steals_per_game", s.steals_per_game),
+        ("mean_chain_length", s.mean_chain_length),
+        *zip(_seat_names(len(s.seat_means)), s.seat_means),
+        *((f"strat_{st.value}", s.strategy_means[st.value])
+          for st in STRATEGY_ORDER),
+    ]
 
 
 def _round_tree(node):
@@ -554,16 +555,16 @@ def export(
     summaries = sorted(summaries, key=lambda s: s.index)
     destination = Path(destination)
     if fmt == "csv":
-        n_seats = len(summaries[0].seat_means)
         with open(destination, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_csv_header(n_seats))
+            writer.writerow([name for name, _ in _columns(summaries[0])])
             for s in summaries:
-                writer.writerow(_csv_row(s))
+                writer.writerow([f"{v:.6f}" if isinstance(v, float) else v
+                                 for _, v in _columns(s)])
     elif fmt == "json":
         doc = {
             "config": config.to_dict() if config is not None else None,
-            "conditions": [_summary_jsonable(s) for s in summaries],
+            "conditions": [_round_tree(dict(_columns(s))) for s in summaries],
             "effects": _round_tree(effects) if effects is not None else None,
         }
         with open(destination, "w", encoding="utf-8") as fh:

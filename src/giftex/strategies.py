@@ -32,10 +32,6 @@ STRATEGY_ORDER = (
 )
 
 
-def parse_strategy(name: str) -> Strategy:
-    return Strategy(name.strip().lower())
-
-
 def best_target(
     targets: Sequence[tuple[int, float, float]],
 ) -> Optional[tuple[int, float, float]]:

@@ -49,11 +49,6 @@ class ValuationModel:
         return self.kind.value
 
 
-INDEPENDENT = ValuationModel(ModelKind.INDEPENDENT)
-CORRELATED = ValuationModel(ModelKind.CORRELATED)
-NEGATIVE = ValuationModel(ModelKind.NEGATIVE)
-
-
 @dataclass(frozen=True)
 class ValuationMatrix:
     """Subjective values in [0,1] plus per-gift objective quality.
@@ -64,9 +59,6 @@ class ValuationMatrix:
     values: np.ndarray
     quality: np.ndarray
     model: ValuationModel
-
-    def value(self, player: int, gift: int) -> float:
-        return float(self.values[player - 1, gift - 1])
 
     def to_jsonable(self) -> dict:
         return {
@@ -82,9 +74,6 @@ class AppearanceVector:
 
     signals: np.ndarray
     noise_sd: float
-
-    def signal(self, gift: int) -> float:
-        return float(self.signals[gift - 1])
 
     def to_jsonable(self) -> dict:
         return {"noise_sd": self.noise_sd, "signals": self.signals.round(9).tolist()}

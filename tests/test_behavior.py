@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giftex.behavior import (BehaviorParams, Feature, SocialState,
-                             adaptive_prob_linear, adaptive_prob_logit,
-                             feature_label, feature_set, frustration_decay,
-                             frustration_on_theft, selection_weights,
-                             steal_targets)
+                             adaptive_prob_linear, feature_label, feature_set,
+                             frustration_decay, frustration_on_theft,
+                             selection_weights, steal_targets)
 from giftex.engine import initial_state
 from giftex.errors import ConfigurationError
 
@@ -34,8 +33,6 @@ def test_parameter_validation():
         BehaviorParams(c0=-0.1)
     with pytest.raises(ConfigurationError):
         BehaviorParams(sigma0_sq=0.0)
-    with pytest.raises(ConfigurationError):
-        adaptive_prob_logit(0.0, 0.0, 0.0, 0.0, 0.2, 0.5, 0.3, mu_logit=0.0)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(BehaviorParams)])
@@ -214,28 +211,6 @@ def test_linear_always_inside_clip_band(phase, fr, sat):
     """Property: output stays inside [0.05, 0.95]."""
     p = adaptive_prob_linear(0.5, phase, fr, sat, 0.2, 0.5, 0.3)
     assert 0.05 <= p <= 0.95
-
-
-def test_logit_neutral_point():
-    assert adaptive_prob_logit(0, 0, 0, 0, 0.2, 0.5, 0.3, 1.0) == pytest.approx(0.5)
-
-
-def test_logit_symmetry():
-    hi = adaptive_prob_logit(0.7, 0, 0, 0, 0, 0, 0, 1.0)
-    lo = adaptive_prob_logit(-0.7, 0, 0, 0, 0, 0, 0, 1.0)
-    assert hi + lo == pytest.approx(1.0, abs=1e-12)
-
-
-def test_logit_near_linear_for_small_arguments():
-    # sigmoid(x) ~ 0.5 + 0.25 x within 0.02 for |x| <= 0.5
-    for x in [i / 50 - 0.5 for i in range(51)]:
-        got = adaptive_prob_logit(x, 0, 0, 0, 0, 0, 0, 1.0)
-        assert abs(0.5 + 0.25 * x - got) <= 0.02
-
-
-def test_logit_rejects_zero_scale():
-    with pytest.raises(ConfigurationError):
-        adaptive_prob_logit(0, 0, 0, 0, 0, 0, 0, 0.0)
 
 
 # -- selection weights -------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_without_pi_everything_is_true_value():
     for seat in range(1, 6):
         state.apply_open(seat, seat)
     got = target_values(state, 3, vm, params)
-    assert got == {g: pytest.approx(vm.value(3, g)) for g in (1, 2, 4, 5)}
+    assert got == {g: pytest.approx(vm.values[3 - 1, g - 1]) for g in (1, 2, 4, 5)}
 
 
 def test_with_pi_opened_gift_is_true_value():
@@ -109,14 +109,15 @@ def test_with_pi_opened_gift_is_true_value():
     vm, app, params = build_fixture()
     state = initial_state(5)
     state.apply_open(1, 2)  # gift 2 opened, rest wrapped
-    assert target_values(state, 3, vm, params) == {2: pytest.approx(vm.value(3, 2))}
+    assert target_values(state, 3, vm, params) == {
+        2: pytest.approx(vm.values[3 - 1, 2 - 1])}
 
 
 def test_with_pi_wrapped_gift_is_risk_adjusted_posterior():
     vm, app, params = build_fixture()
-    post = posterior(Prior(params.mu0, params.sigma0_sq), app.signal(4),
+    post = posterior(Prior(params.mu0, params.sigma0_sq), app.signals[4 - 1],
                      params.sigma_a)
-    assert wrapped_gift_value(app.signal(4), params) == pytest.approx(
+    assert wrapped_gift_value(app.signals[4 - 1], params) == pytest.approx(
         certainty_equivalent(post.mean, post.variance, params.rho_risk))
     # worked example: signal 0.8 with the default parameters
     assert wrapped_gift_value(0.8, BehaviorParams()) == pytest.approx(
@@ -131,5 +132,5 @@ def test_pi_reduces_to_full_information_in_the_noiseless_risk_free_limit():
     params = BehaviorParams(sigma_a=1e-9, rho_risk=0.0)
     app = generate_appearance(vm.quality, 1e-12, rng)
     for gift in range(1, n + 1):
-        got = wrapped_gift_value(app.signal(gift), params)
-        assert got == pytest.approx(vm.value(2, gift), abs=1e-6)
+        got = wrapped_gift_value(app.signals[gift - 1], params)
+        assert got == pytest.approx(vm.values[2 - 1, gift - 1], abs=1e-6)

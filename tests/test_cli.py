@@ -25,8 +25,14 @@ def test_count_five_players(capsys):
 
 
 def test_count_with_swap(capsys):
-    code, out, _ = run_cli(capsys, "count", "--players", "3", "--with-swap")
-    assert code == 0 and out.strip() == "180"
+    # The n final-swap choices multiply every route's count alike.
+    for argv, expected in ((["--players", "1"], 1),
+                           (["--players", "3"], 180),
+                           (["--players", "5"], 6_240_000),
+                           (["--players", "3", "--lifetime", "1"], 3 * 42),
+                           (["--players", "3", "--oracle"], 180)):
+        code, out, _ = run_cli(capsys, "count", *argv, "--with-swap")
+        assert code == 0 and out.strip() == str(expected)
 
 
 def test_count_large_n_prints_exact_decimal(capsys):
@@ -160,6 +166,26 @@ def test_experiment_json_format(tmp_path, capsys):
     doc = json.loads((tmp_path / "experiment.json").read_text())
     assert doc["config"]["games_per_condition"] == 2
     assert len(doc["conditions"]) == 48
+
+
+def test_experiment_seed_precedence(tmp_path, capsys, monkeypatch):
+    # --seed beats GIFTEX_SEED, which beats the config file's base_seed.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_players": 2, "base_seed": 5}))
+
+    def echoed_seed(*seed):
+        code, _, err = run_cli(capsys, "experiment", "--games", "1",
+                               "--jobs", "1", "--format", "json", "--out",
+                               str(tmp_path), "--config", str(path), *seed)
+        assert code == 0, err
+        doc = json.loads((tmp_path / "experiment.json").read_text())
+        return doc["config"]["base_seed"]
+
+    monkeypatch.delenv("GIFTEX_SEED", raising=False)
+    assert echoed_seed() == 5
+    monkeypatch.setenv("GIFTEX_SEED", "6")
+    assert echoed_seed() == 6
+    assert echoed_seed("--seed", "7") == 7
 
 
 @pytest.mark.parametrize("config", [

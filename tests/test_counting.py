@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from giftex import counting
 from giftex.counting import (UNLIMITED, brute_force_count, count_chains,
                              count_trajectories, round_action_count,
-                             trajectory_count, trajectory_count_with_swap)
+                             trajectory_count)
 from giftex.engine import StealLimits
 
 A_GOLDEN = (1, 2, 5, 16, 65, 326, 1957, 13700)
@@ -72,12 +72,6 @@ def test_trajectory_count_golden():
 def test_trajectory_count_is_divisible_by_n_factorial():
     for n in range(1, 12):
         assert trajectory_count(n) % math.factorial(n) == 0
-
-
-def test_trajectory_count_with_swap():
-    assert trajectory_count_with_swap(1) == 1
-    assert trajectory_count_with_swap(3) == 180
-    assert trajectory_count_with_swap(5) == 6_240_000
 
 
 # -- level-profile DP ---------------------------------------------------------

@@ -14,14 +14,15 @@ from giftex.errors import ConfigurationError, IllegalMoveError, PhaseError
 
 
 def open_lowest(state, actor, rng):
-    return Open(state.wrapped_gifts()[0])
+    return Open(state.wrapped[0])
 
 
 def greedy_steal(state, actor, rng):
-    targets = state.valid_steal_targets(actor)
-    if targets:
-        return Steal(targets[0])
-    return Open(state.wrapped_gifts()[0])
+    """Steal from the lowest seat that can be robbed, else open the lowest
+    wrapped gift (`legal_actions` lists opens by id, then steals by seat)."""
+    actions = state.legal_actions(actor)
+    steals = [a for a in actions if type(a) is Steal]
+    return steals[0] if steals else actions[0]
 
 
 def random_policy(state, actor, rng):
@@ -33,14 +34,14 @@ def random_policy(state, actor, rng):
 
 def test_initial_state_two_players():
     s = initial_state(2)
-    assert s.wrapped_gifts() == [1, 2]
+    assert s.wrapped == [1, 2]
     assert all(s.ownership[p] is None for p in (1, 2))
     assert s.round == 1 and s.displaced is None
 
 
 def test_initial_state_29_players():
     s = initial_state(29, StealLimits(1, 0))
-    assert len(s.wrapped_gifts()) == 29
+    assert len(s.wrapped) == 29
     assert s.round == 1
     assert sum(s.total_steals) == 0 and s.chain_locked == set()
     assert s.stealable_gifts(1) == []

@@ -33,7 +33,7 @@ def test_48_conditions_in_canonical_order():
     assert conds[0].features == frozenset() and conds[0].label == "BASE"
     assert conds[15].label == "FULL"
     assert conds[16].model_kind is ModelKind.CORRELATED
-    assert conds[47].id == "negative/FULL"
+    assert (conds[47].model_kind, conds[47].label) == (ModelKind.NEGATIVE, "FULL")
     assert [c.index for c in conds] == list(range(48))
 
 
@@ -162,7 +162,7 @@ def test_seat_values_are_true_values_of_final_gifts():
     for seat in range(1, 9):
         gift = game.result.final_ownership[seat]
         assert game.seat_values[seat - 1] == pytest.approx(
-            game.valuations.value(seat, gift))
+            game.valuations.values[seat - 1, gift - 1])
 
 
 def test_base_and_pi_only_identical_for_always_steal_population():
@@ -187,6 +187,21 @@ def test_biased_selection_at_large_temperature_plays_out():
         game = play_game(29, StealLimits(), ExperimentConfig().model_for(
             ModelKind.INDEPENDENT), features, params, game_rng(42, 8, 0))
         assert sorted(game.result.final_ownership.values()) == list(range(1, 30))
+
+
+def test_biased_selection_at_large_temperature_stays_by_weight():
+    # At tau = 1000 each open is all but surely the heaviest wrapped gift:
+    # with signal gaps above 0.05, any other draw has odds below e^-50. The
+    # weights normalized over all gifts underflow to 0.0 once the heavy gifts
+    # are open, and a draw over a zero total lands on the highest remaining id.
+    params = BehaviorParams(tau=1000.0)
+    model = ExperimentConfig().model_for(ModelKind.INDEPENDENT)
+    game = play_game(6, StealLimits(), model, frozenset({Feature.BS}), params,
+                     game_rng(2, 0, 0), fixed_strategy=Strategy.ALWAYS_OPEN)
+    signals = game.appearance.signals
+    assert np.diff(np.sort(signals)).min() > 0.05
+    opened = [rec.gift for rec in game.result.trajectory[:-1]]
+    assert opened == [int(g) + 1 for g in np.argsort(-signals)]
 
 
 def test_game_trace_is_json_serializable():

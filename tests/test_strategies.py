@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from giftex.behavior import selection_weights
 from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
-                               choose_open_gift, decide, parse_strategy)
+                               choose_open_gift, decide)
 
 
 def run(kind, targets=(), opened_mean=0.5, wrapped_mean=0.5, own=0.0,
@@ -24,7 +24,6 @@ def test_strategy_names_are_the_cli_identifiers():
     assert [s.value for s in STRATEGY_ORDER] == [
         "always_open", "always_steal", "coin_flip",
         "mean_based", "threshold", "expected_value"]
-    assert parse_strategy("Mean_Based") is Strategy.MEAN_BASED
 
 
 # -- best_target ----------------------------------------------------------------
