@@ -25,10 +25,9 @@ def test_count_five_players(capsys):
 
 
 def test_count_with_swap(capsys):
-    # The n final-swap choices multiply every route's count alike.
-    for argv, expected in ((["--players", "1"], 1),
-                           (["--players", "3"], 180),
-                           (["--players", "5"], 6_240_000),
+    # The n final-swap choices multiply every route's count alike; the
+    # closed-form numbers for n = 1, 3, 5 are in test_counting.py.
+    for argv, expected in ((["--players", "3"], 180),
                            (["--players", "3", "--lifetime", "1"], 3 * 42),
                            (["--players", "3", "--oracle"], 180)):
         code, out, _ = run_cli(capsys, "count", *argv, "--with-swap")

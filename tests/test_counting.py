@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giftex import counting
+from giftex.cli import main
 from giftex.counting import (UNLIMITED, brute_force_count, count_chains,
                              count_trajectories, round_action_count,
                              trajectory_count)
@@ -72,6 +73,14 @@ def test_trajectory_count_golden():
 def test_trajectory_count_is_divisible_by_n_factorial():
     for n in range(1, 12):
         assert trajectory_count(n) % math.factorial(n) == 0
+
+
+def test_trajectory_count_with_swap(capsys):
+    # The n final-swap choices multiply the closed form; the CLI applies them.
+    for n, expected in ((1, 1), (3, 180), (5, 6_240_000)):
+        assert main(["count", "--players", str(n), "--with-swap"]) == 0
+        assert capsys.readouterr().out.strip() == str(expected)
+        assert expected == n * trajectory_count(n)
 
 
 # -- level-profile DP ---------------------------------------------------------
