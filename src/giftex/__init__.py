@@ -13,7 +13,7 @@ number of distinct game trajectories.
 from .behavior import (ALL_FEATURES, BehaviorParams, Feature, SocialState,
                        adaptive_prob_linear, feature_label, feature_set,
                        frustration_decay, frustration_on_theft,
-                       selection_weights, steal_targets)
+                       selection_weights)
 from .beliefs import (Posterior, Prior, certainty_equivalent, posterior,
                       wrapped_gift_value)
 from .counting import (UNLIMITED, brute_force_count, count_chains,

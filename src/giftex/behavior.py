@@ -1,5 +1,6 @@
 """Behavioral decorations: social costs, frustration, adaptive steal
-probability, biased gift selection, and net steal utility.
+probability and biased gift selection. The SC cost itself is charged inside
+`strategies.best_target`, the one scan over steal targets.
 
 The four toggleable features:
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConfigurationError
 
@@ -111,36 +112,6 @@ class SocialState:
         """Record a completed steal in the thief's history and totals."""
         self.history[thief][victim] += 1
         self.steals_committed[thief] += 1
-
-
-def steal_targets(
-    state,
-    actor: int,
-    values: Sequence[float],
-    own_value: float,
-    social: Optional[SocialState],
-    params: BehaviorParams,
-) -> list[tuple[int, float, float]]:
-    """(victim, net utility, gift value) for every gift `actor` may steal.
-
-    `values[g]` is the actor's value of opened gift g (opened gifts are seen
-    at their true value) and `own_value` that of its current holding, 0 when
-    empty-handed. Net utility is the value gain minus, when `social` is given
-    (SC on), the social cost: norm violation plus cumulative reputation, plus
-    relationship damage growing with prior steals from the same victim.
-    """
-    holder = state.holder
-    gifts = state.stealable_gifts(actor)
-    if social is None:
-        return [(holder[g], values[g] - own_value, values[g]) for g in gifts]
-    # Float addition is not associative; the exports pin this summation order.
-    base_cost = params.c0 + params.beta * social.steals_committed[actor]
-    repeat_cost = params.c0 * params.alpha
-    h_row = social.history[actor]
-    return [(holder[g],
-             values[g] - own_value - (base_cost + repeat_cost * h_row[holder[g]]),
-             values[g])
-            for g in gifts]
 
 
 def frustration_on_theft(social: SocialState, victim: int, gamma: float) -> SocialState:

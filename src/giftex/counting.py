@@ -111,6 +111,9 @@ def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
     _check_count("lifetime", lifetime, 0)
     if lifetime == UNLIMITED:
         return trajectory_count(n)
+    # A gift opened in round k can be stolen at most once in each later
+    # round, so no cap above n - 1 binds; n - 1 itself still runs the DP.
+    lifetime = min(lifetime, n - 1)
     states: dict[Profile, int] = {(1,) + (0,) * lifetime: 1}  # after round 1
     for _ in range(2, n + 1):
         chained: dict[Profile, int] = {}  # profiles before the round's open

@@ -113,27 +113,20 @@ class GameState:
     # -- queries ----------------------------------------------------------
 
     def stealable(self, gift: int) -> bool:
-        """True iff `gift` passes the chain lock and the lifetime cap."""
+        """True iff `gift` passes the chain lock and the lifetime cap.
+
+        `strategies.best_target`, the per-decision scan, inlines this rule.
+        """
         lifetime = self.limits.lifetime
         return gift not in self.chain_locked and not (
             lifetime and self.total_steals[gift] >= lifetime)
-
-    def stealable_gifts(self, actor: int) -> list[int]:
-        """Opened gifts `actor` may steal, in opening order.
-
-        The same rule as `stealable`, inlined: this scan is the hot path.
-        """
-        locked, holder = self.chain_locked, self.holder
-        lifetime, total = self.limits.lifetime, self.total_steals
-        return [g for g in self.opened_order
-                if holder[g] != actor and g not in locked
-                and not (lifetime and total[g] >= lifetime)]
 
     def legal_actions(self, actor: int) -> list[Action]:
         """Opens by gift id, then steals by seat: the exhaustive-play oracle."""
         if self.swap_pending or self.concluded:
             raise PhaseError("rounds are over; only the final swap remains")
-        victims = sorted(self.holder[g] for g in self.stealable_gifts(actor))
+        victims = sorted(self.holder[g] for g in self.opened_order
+                         if self.holder[g] != actor and self.stealable(g))
         return [Open(g) for g in self.wrapped] + [Steal(m) for m in victims]
 
     # -- transitions ------------------------------------------------------

@@ -23,10 +23,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import strategies
 from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        SocialState, adaptive_prob_linear, feature_label,
                        frustration_decay, frustration_on_theft,
-                       selection_weights, steal_targets)
+                       selection_weights)
 from .beliefs import wrapped_gift_value
 from .engine import (STANDARD_LIMITS, GameResult, Open, Steal, StealLimits,
                      run_game)
@@ -242,8 +243,9 @@ def play_game(
         if not ad_on or game_rng.random() < adaptive_prob_linear(
                 p0, st.round * inv_n, frustration[actor], own_value,
                 l1, l2, l3):
-            targets = steal_targets(st, actor, v_row, own_value, sc_social,
-                                    params)
+            # Through the module, where the benchmark's tracer wraps it.
+            best = strategies.best_target(st, actor, v_row, own_value,
+                                          sc_social, params)
             opened_count = len(st.opened_order)
             opened_mean = (opened_sum[actor] / opened_count
                            if opened_count else 0.0)
@@ -252,7 +254,7 @@ def play_game(
             else:
                 wrapped_mean = ((total_sum[actor] - opened_sum[actor])
                                 / len(wrapped))
-            victim = strategy_decide(by_seat[actor], targets, own_value,
+            victim = strategy_decide(by_seat[actor], best, own_value,
                                      opened_mean, wrapped_mean,
                                      params.threshold, game_rng)
         # Bookkeeping happens here because the engine either applies exactly
@@ -399,15 +401,20 @@ def run_experiment(
     jobs: int = 1,
     conditions: Optional[Sequence[Condition]] = None,
 ) -> list[ConditionSummary]:
-    """Run the factorial. Results are keyed by condition index, so the output
-    is identical for any `jobs` value."""
+    """Run the factorial on at most `jobs` worker processes, never more than
+    there are conditions; one runs in this process. Results are keyed by
+    condition index, so the output is identical for any `jobs` value."""
+    require_int("jobs", jobs)
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if conditions is None:
         conditions = enumerate_conditions(config)
-    if jobs <= 1:
+    workers = min(jobs, len(conditions))
+    if workers <= 1:
         summaries = [run_condition(c, config) for c in conditions]
     else:
         ctx = get_context("spawn")
-        with ctx.Pool(jobs) as pool:
+        with ctx.Pool(workers) as pool:
             summaries = pool.map(
                 _condition_worker, [(c, config) for c in conditions])
     return sorted(summaries, key=lambda s: s.index)
@@ -417,31 +424,28 @@ def run_experiment(
 # effects
 # ---------------------------------------------------------------------------
 
+EFFECT_METRICS = ("steals_per_game", "mean_chain_length")
+
+SummaryIndex = dict[tuple[str, frozenset[Feature]], ConditionSummary]
+
+
 def _metric_value(summary: ConditionSummary, metric: str) -> float:
-    if metric == "steals_per_game":
-        return summary.steals_per_game
-    if metric == "mean_chain_length":
-        return summary.mean_chain_length
-    if metric.startswith("seat_"):
-        seat = int(metric[5:])
-        if not 1 <= seat <= len(summary.seat_means):
-            raise ValueError(f"no such seat metric: {metric}")
-        return summary.seat_means[seat - 1]
-    if metric.startswith("strat_"):
-        name = metric[6:]
-        if name not in summary.strategy_means:
-            raise ValueError(f"no such strategy metric: {metric}")
-        return summary.strategy_means[name]
-    raise ValueError(f"unknown metric: {metric}")
+    if metric not in EFFECT_METRICS:
+        raise ValueError(f"unknown metric: {metric}")
+    return getattr(summary, metric)
 
 
 def _index_summaries(
-    summaries: Iterable[ConditionSummary],
-) -> dict[tuple[str, frozenset[Feature]], ConditionSummary]:
+    summaries: Union[Iterable[ConditionSummary], SummaryIndex],
+) -> SummaryIndex:
+    """(model, features) -> summary; an index passes through as it is."""
+    if isinstance(summaries, dict):
+        return summaries
     return {(s.model, s.features_set): s for s in summaries}
 
 
-def _lookup(indexed, model: str, features: frozenset[Feature]) -> ConditionSummary:
+def _lookup(indexed: SummaryIndex, model: str,
+            features: frozenset[Feature]) -> ConditionSummary:
     try:
         return indexed[(model, features)]
     except KeyError:
@@ -450,12 +454,13 @@ def _lookup(indexed, model: str, features: frozenset[Feature]) -> ConditionSumma
 
 
 def main_effect(
-    summaries: Iterable[ConditionSummary],
+    summaries: Union[Iterable[ConditionSummary], SummaryIndex],
     feature: Feature,
     model: str,
     metric: str = "steals_per_game",
 ) -> float:
-    """Marginal effect of one feature: Y({f}) - Y(BASE), same model."""
+    """Marginal effect of one feature: Y({f}) - Y(BASE), same model.
+    `summaries` may also be their `(model, features)` index."""
     indexed = _index_summaries(summaries)
     base = _lookup(indexed, model, frozenset())
     single = _lookup(indexed, model, frozenset({feature}))
@@ -463,14 +468,15 @@ def main_effect(
 
 
 def interaction(
-    summaries: Iterable[ConditionSummary],
+    summaries: Union[Iterable[ConditionSummary], SummaryIndex],
     f1: Feature,
     f2: Feature,
     model: str,
     metric: str = "steals_per_game",
 ) -> float:
     """Standard 2x2 factorial contrast:
-    Y({f1,f2}) - Y({f1}) - Y({f2}) + Y(BASE)."""
+    Y({f1,f2}) - Y({f1}) - Y({f2}) + Y(BASE). `summaries` may also be their
+    `(model, features)` index."""
     if f1 == f2:
         raise ValueError("interaction requires two distinct features")
     indexed = _index_summaries(summaries)
@@ -482,14 +488,10 @@ def interaction(
             - _metric_value(b, metric) + _metric_value(base, metric))
 
 
-EFFECT_METRICS = ("steals_per_game", "mean_chain_length")
-
-
-def compute_effects(
-    summaries: Sequence[ConditionSummary],
-    metrics: Sequence[str] = EFFECT_METRICS,
-) -> dict:
-    """Per-model main effects for each feature and pairwise interactions."""
+def compute_effects(summaries: Sequence[ConditionSummary]) -> dict:
+    """Per-model main effects for each feature and pairwise interactions, on
+    each of `EFFECT_METRICS`."""
+    indexed = _index_summaries(summaries)
     models = []
     for s in summaries:
         if s.model not in models:
@@ -498,13 +500,15 @@ def compute_effects(
     inter: dict = {}
     for model in models:
         main[model] = {
-            f.name: {m: main_effect(summaries, f, model, m) for m in metrics}
+            f.name: {m: main_effect(indexed, f, model, m)
+                     for m in EFFECT_METRICS}
             for f in FEATURE_ORDER}
         inter[model] = {}
         for i, f1 in enumerate(FEATURE_ORDER):
             for f2 in FEATURE_ORDER[i + 1:]:
                 inter[model][f"{f1.name}x{f2.name}"] = {
-                    m: interaction(summaries, f1, f2, model, m) for m in metrics}
+                    m: interaction(indexed, f1, f2, model, m)
+                    for m in EFFECT_METRICS}
     return {"main_effects": main, "interactions": inter}
 
 

@@ -1,10 +1,10 @@
-"""The six decision strategies and shared steal-target selection.
+"""The six decision strategies and the one steal-target scan.
 
 Every decision point compares the best available steal against opening. A
 target is a (victim seat, net steal utility, perceived value of the victim's
-gift) triple; the best target maximizes net utility with ties broken toward
-the lowest seat. All "exceeds" comparisons are strict, so exact ties favor
-opening.
+gift) triple; `best_target` finds the one with maximal net utility, ties
+broken toward the lowest seat, and `decide` reads only that winner. All
+"exceeds" comparisons are strict, so exact ties favor opening.
 """
 
 from __future__ import annotations
@@ -32,15 +32,40 @@ STRATEGY_ORDER = (
 )
 
 
-def best_target(
-    targets: Sequence[tuple[int, float, float]],
-) -> Optional[tuple[int, float, float]]:
-    """Legal target with maximal net utility; ties go to the lowest seat."""
-    best = None
-    for entry in targets:
-        if best is None or entry[1] > best[1] or (entry[1] == best[1] and entry[0] < best[0]):
-            best = entry
-    return best
+def best_target(state, actor: int, values: Sequence[float], own_value: float,
+                social, params) -> Optional[tuple[int, float, float]]:
+    """The steal `actor` values most, as (victim seat, net utility, gift
+    value), or None when no opened gift may be stolen.
+
+    One pass in opening order. It skips the actor's own gift and every gift
+    `GameState.stealable` refuses (that rule, inlined: this is the hot path).
+    `values[g]` is the actor's true value of opened gift g and `own_value`
+    that of its holding, 0 when empty-handed. With `social` (SC on) the net
+    also pays the social cost: norm violation plus reputation, plus damage
+    growing with prior steals from the same victim. A strictly greater net
+    wins; an equal net goes to the lower seat.
+    """
+    holder, locked = state.holder, state.chain_locked
+    lifetime, total = state.limits.lifetime, state.total_steals
+    if social is not None:
+        base_cost = params.c0 + params.beta * social.steals_committed[actor]
+        repeat_cost = params.c0 * params.alpha
+        h_row = social.history[actor]
+    best_victim, best_net, best_value = 0, 0.0, 0.0  # seat 0: none yet
+    for g in state.opened_order:
+        victim = holder[g]
+        if (victim == actor or g in locked
+                or (lifetime and total[g] >= lifetime)):
+            continue
+        value = values[g]
+        net = value - own_value
+        if social is not None:
+            # Float addition is not associative; the exports pin this order.
+            net -= base_cost + repeat_cost * h_row[victim]
+        if (not best_victim or net > best_net
+                or (net == best_net and victim < best_victim)):
+            best_victim, best_net, best_value = victim, net, value
+    return (best_victim, best_net, best_value) if best_victim else None
 
 
 def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
@@ -62,15 +87,14 @@ def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
     return pool[-1]  # r == total under float roundoff
 
 
-def decide(kind: Strategy, targets: Sequence[tuple[int, float, float]],
+def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
            own_value: float, opened_mean: float, wrapped_mean: float,
            threshold: float, rng) -> Optional[int]:
-    """Steal-or-open decision for one strategy at one decision point: the
-    victim seat to steal from, or None to open.
+    """Steal-or-open decision for one strategy at one decision point, given
+    the `best_target` winner: the victim seat to steal from, or None to open.
 
     Only COIN_FLIP consumes randomness, and only when a target exists.
     """
-    best = best_target(targets)
     if best is None or kind is Strategy.ALWAYS_OPEN:
         return None
     victim, net_utility, gift_value = best

@@ -14,6 +14,7 @@ values the tables' own arithmetic supports:
   (70.8/104.2/74.2, +-15%) and records the conflicting set.
 """
 
+import os
 import time
 from math import factorial
 
@@ -221,7 +222,9 @@ def test_criterion_5_belief_math():
 def desk_run():
     config = ExperimentConfig()  # 29 players, 1000 games, seed 42
     start = time.perf_counter()
-    summaries = run_experiment(config, jobs=1)
+    # The output does not depend on jobs (criterion 8 and
+    # test_parallel_jobs_produce_identical_results pin that).
+    summaries = run_experiment(config, jobs=os.cpu_count() or 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, "full factorial must stay inside the 10 min budget"
     return {(s.model, s.features): s for s in summaries}, list(summaries)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from giftex.behavior import (BehaviorParams, Feature, SocialState,
                              adaptive_prob_linear, feature_label, feature_set,
                              frustration_decay, frustration_on_theft,
-                             selection_weights, steal_targets)
+                             selection_weights)
 from giftex.engine import initial_state
 from giftex.errors import ConfigurationError
+from giftex.strategies import best_target
 
 PARAMS = BehaviorParams()
 
@@ -44,14 +45,29 @@ def test_non_finite_parameters_rejected(name, bad):
 
 # -- social cost --------------------------------------------------------------
 
+def nets(state, actor, values, own_value, social=None, params=PARAMS):
+    """victim -> net utility, as `best_target` reports each legal target when
+    every other opened gift is chain-locked."""
+    opened, locked = set(state.opened_order), state.chain_locked
+    out = {}
+    for gift in state.opened_order:
+        if gift in locked:
+            continue
+        state.chain_locked = locked | (opened - {gift})
+        best = best_target(state, actor, values, own_value, social, params)
+        if best is not None:
+            out[best[0]] = best[1]
+    state.chain_locked = locked
+    return out
+
+
 def social_cost(social, thief, victim, params=PARAMS):
-    """The SC cost `steal_targets` charges: with every gift worth 0 and the
+    """The SC cost `best_target` charges: with every gift worth 0 and the
     thief empty-handed, the net utility is minus the cost."""
     state = initial_state(5)
     for seat in (1, 2, 3):
         state.apply_open(seat, seat)
-    targets = steal_targets(state, thief, [0.0] * 6, 0.0, social, params)
-    return -{v: net for v, net, _ in targets}[victim]
+    return -nets(state, thief, [0.0] * 6, 0.0, social, params)[victim]
 
 
 def test_first_steal_costs_base_awkwardness():
@@ -99,17 +115,13 @@ def build_two_owner_state():
     return state
 
 
-def nets(state, actor, values, own_value, social=None, params=PARAMS):
-    """victim -> net utility over the actor's legal steal targets."""
-    targets = steal_targets(state, actor, values, own_value, social, params)
-    return {victim: net for victim, net, _ in targets}
-
-
 def test_net_utility_empty_handed_no_social_cost():
     state = build_two_owner_state()
     values = [0.0, 0.9, 0.4]  # indexed by gift
-    targets = steal_targets(state, 3, values, 0.0, None, PARAMS)
-    assert targets == [(1, pytest.approx(0.9), 0.9), (2, pytest.approx(0.4), 0.4)]
+    assert best_target(state, 3, values, 0.0, None, PARAMS) == (
+        1, pytest.approx(0.9), 0.9)
+    assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.9),
+                                           2: pytest.approx(0.4)}
 
 
 def test_net_utility_is_value_difference():
@@ -140,6 +152,7 @@ def test_with_sc_disabled_cost_is_ignored():
     values = [0.0, 0.7, 0.7]
     assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.7),
                                            2: pytest.approx(0.7)}
+    assert best_target(state, 3, values, 0.0, None, PARAMS)[0] == 1
 
 
 # -- frustration ----------------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from giftex.behavior import BehaviorParams, steal_targets
+from giftex.behavior import BehaviorParams
 from giftex.beliefs import (Posterior, Prior, certainty_equivalent, posterior,
                             wrapped_gift_value)
 from giftex.engine import initial_state
 from giftex.errors import ConfigurationError
+from giftex.strategies import best_target
 from giftex.valuation import (ModelKind, ValuationModel, generate_appearance,
                               generate_valuations)
 
@@ -88,11 +89,18 @@ def build_fixture(sigma_a=0.3, rho_risk=0.5):
 
 
 def target_values(state, actor, vm, params):
-    """victim's gift -> the value a steal target carries, as the simulation
-    computes it (SC off)."""
+    """victim's gift -> the value a steal target carries, as `best_target`
+    reports it when every other opened gift is chain-locked (SC off)."""
     row = [0.0] + vm.values[actor - 1].tolist()
-    targets = steal_targets(state, actor, row, 0.0, None, params)
-    return {state.ownership[victim]: value for victim, _, value in targets}
+    opened = set(state.opened_order)
+    out = {}
+    for gift in state.opened_order:
+        state.chain_locked = opened - {gift}
+        best = best_target(state, actor, row, 0.0, None, params)
+        if best is not None:
+            out[state.ownership[best[0]]] = best[2]
+    state.chain_locked = set()
+    return out
 
 
 def test_without_pi_everything_is_true_value():

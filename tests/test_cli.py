@@ -20,8 +20,10 @@ def run_cli(capsys, *argv):
 # -- count -----------------------------------------------------------------------
 
 def test_count_five_players(capsys):
-    code, out, _ = run_cli(capsys, "count", "--players", "5")
-    assert code == 0 and out.strip() == "1248000"
+    # No cap above n - 1 binds, so a huge one is the closed form, at once.
+    for extra in ([], ["--lifetime", "1000000"]):
+        code, out, _ = run_cli(capsys, "count", "--players", "5", *extra)
+        assert code == 0 and out.strip() == "1248000"
 
 
 def test_count_with_swap(capsys):
@@ -203,6 +205,14 @@ def test_experiment_negative_seed_is_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--games", "1", "--seed", "-1",
                            "--jobs", "2", "--out", str(tmp_path))
     assert code == 2 and "base_seed" in err
+    assert not (tmp_path / "experiment.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_jobs_below_one_is_exit_two(tmp_path, capsys, jobs):
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--jobs", jobs,
+                           "--out", str(tmp_path))
+    assert code == 2 and "jobs" in err
     assert not (tmp_path / "experiment.csv").exists()
 
 

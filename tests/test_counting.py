@@ -98,6 +98,21 @@ def test_dp_with_nonbinding_lifetime_matches_closed_form():
         assert count_trajectories(n, n - 1) == trajectory_count(n)
 
 
+def test_dp_clamps_a_cap_above_n_minus_one(monkeypatch):
+    # A cap above n - 1 counts as n - 1: every profile the DP builds has n
+    # levels, however large the cap.
+    lengths = []
+
+    def recording(profile, lifetime):
+        lengths.append(len(profile))
+        return chains(profile, lifetime)
+
+    chains = counting.count_chains
+    monkeypatch.setattr(counting, "count_chains", recording)
+    assert count_trajectories(5, 50) == trajectory_count(5)
+    assert lengths and max(lengths) <= 5
+
+
 def test_dp_capped_golden():
     for n, row in CAPPED_GOLDEN.items():
         assert tuple(count_trajectories(n, L) for L in range(1, 5)) == row, n

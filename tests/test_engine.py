@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from giftex.engine import (STANDARD_LIMITS, GameState, Open, Steal, StealLimits,
                            Swap, initial_state, replay, run_game, run_round)
 from giftex.errors import ConfigurationError, IllegalMoveError, PhaseError
+from giftex.strategies import best_target
 
 
 def open_lowest(state, actor, rng):
@@ -23,6 +24,15 @@ def greedy_steal(state, actor, rng):
     actions = state.legal_actions(actor)
     steals = [a for a in actions if type(a) is Steal]
     return steals[0] if steals else actions[0]
+
+
+def scan_takes(state, actor, gift):
+    """Whether `best_target` steals `gift` for `actor` when only that gift is
+    worth anything to it."""
+    values = [0.0] * (state.n + 1)
+    values[gift] = 1.0
+    best = best_target(state, actor, values, 0.0, None, None)
+    return best is not None and best[0] == state.holder[gift]
 
 
 def random_policy(state, actor, rng):
@@ -44,7 +54,7 @@ def test_initial_state_29_players():
     assert len(s.wrapped) == 29
     assert s.round == 1
     assert sum(s.total_steals) == 0 and s.chain_locked == set()
-    assert s.stealable_gifts(1) == []
+    assert best_target(s, 1, [0.0] * 30, 0.0, None, None) is None
 
 
 def test_initial_state_rejects_empty_game():
@@ -82,11 +92,11 @@ def test_per_round_cap_blocks():
     for per_round in (0, 1, 2):
         s = steal_then_open(per_round)
         assert not s.stealable(1)
-        assert 1 not in s.stealable_gifts(1) and 1 not in s.stealable_gifts(2)
+        assert not scan_takes(s, 1, 1) and not scan_takes(s, 2, 1)
         with pytest.raises(IllegalMoveError):
             s.apply_steal(1, 3)
         s.apply_open(1, 3)
-        assert s.stealable(1) and 1 in s.stealable_gifts(4)
+        assert s.stealable(1) and scan_takes(s, 4, 1)
 
 
 def test_lifetime_cap_blocks():
@@ -156,7 +166,7 @@ def test_open_terminates_chain_and_clears_locks():
     s.apply_open(2, 3)
     assert s.chain_locked == set() and s.displaced is None
     assert s.round == 4
-    assert s.stealable(2) and 2 in s.stealable_gifts(4)
+    assert s.stealable(2) and scan_takes(s, 4, 2)
 
 
 def test_open_already_opened_is_illegal():
@@ -190,7 +200,7 @@ def test_chain_example_bookkeeping():
     s.apply_steal(7, 4)
     assert s.ownership[7] == 3 and s.ownership[4] is None
     assert s.chain_locked == {3} and s.total_steals[3] == 1
-    assert not s.stealable(3) and 3 not in s.stealable_gifts(4)
+    assert not s.stealable(3) and not scan_takes(s, 4, 3)
     assert s.displaced == 4
     s.apply_steal(4, 2)
     assert s.chain_locked == {3, 5}
@@ -393,17 +403,19 @@ def test_caps_respected_under_aggressive_play():
 
 @given(seed=st.integers(min_value=0, max_value=2000))
 @settings(max_examples=40, deadline=None)
-def test_stealable_gifts_matches_stealable(seed):
-    """Property: the inlined scan agrees with `stealable` in every state."""
+def test_best_target_matches_stealable(seed):
+    """Property: in every reachable state, a value row that is 1 at opened
+    gift g and 0 elsewhere makes `best_target` take g's holder exactly when
+    `stealable(g)` holds and the actor is not that holder."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     state = initial_state(n, StealLimits(int(rng.integers(0, 3)),
                                          int(rng.integers(0, 4))))
     while not state.swap_pending:
         for a in range(1, n + 1):
-            assert state.stealable_gifts(a) == [
-                g for g in state.opened_order
-                if state.holder[g] != a and state.stealable(g)]
+            for g in state.opened_order:
+                assert scan_takes(state, a, g) == (
+                    state.holder[g] != a and state.stealable(g))
         actor = state.round if state.displaced is None else state.displaced
         actions = state.legal_actions(actor)
         action = actions[int(rng.integers(0, len(actions)))]

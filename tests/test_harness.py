@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from giftex import harness
 from giftex.behavior import BehaviorParams, Feature
 from giftex.engine import StealLimits
 from giftex.errors import ConfigurationError
@@ -373,3 +374,37 @@ def test_parallel_jobs_produce_identical_results():
     seq = run_experiment(cfg, jobs=1, conditions=conds)
     par = run_experiment(cfg, jobs=2, conditions=conds)
     assert seq == par
+
+
+def test_pool_never_outnumbers_the_conditions(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(harness, "get_context", lambda method: Context())
+    cfg = ExperimentConfig(n_players=4, games_per_condition=1, base_seed=3)
+    conds = enumerate_conditions(cfg)[:2]
+    got = run_experiment(cfg, jobs=64, conditions=conds)
+    assert sizes == [2]
+    assert got == run_experiment(cfg, jobs=1, conditions=conds)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.0, True, "2"])
+def test_run_experiment_rejects_bad_jobs(jobs):
+    cfg = ExperimentConfig(n_players=4, games_per_condition=1)
+    with pytest.raises(ConfigurationError, match="jobs"):
+        run_experiment(cfg, jobs=jobs, conditions=enumerate_conditions(cfg)[:1])

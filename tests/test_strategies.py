@@ -1,23 +1,25 @@
-"""Strategy decision rules: target selection, boundaries, legality."""
+"""Strategy decision rules: the target scan, boundaries, legality."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giftex.behavior import selection_weights
+from giftex.behavior import BehaviorParams, selection_weights
+from giftex.engine import initial_state
 from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
                                choose_open_gift, decide)
 
 
-def run(kind, targets=(), opened_mean=0.5, wrapped_mean=0.5, own=0.0,
+def run(kind, best=None, opened_mean=0.5, wrapped_mean=0.5, own=0.0,
         threshold=0.6, rng=None):
     """`decide` with the defaults these tests share: the victim or None."""
-    return decide(kind, list(targets), own, opened_mean, wrapped_mean,
-                  threshold, RNG if rng is None else rng)
+    return decide(kind, best, own, opened_mean, wrapped_mean, threshold,
+                  RNG if rng is None else rng)
 
 
 RNG = np.random.default_rng(0)
+PARAMS = BehaviorParams()
 
 
 def test_strategy_names_are_the_cli_identifiers():
@@ -29,21 +31,34 @@ def test_strategy_names_are_the_cli_identifiers():
 # -- best_target ----------------------------------------------------------------
 
 def test_best_target_none_without_owners():
-    assert best_target([]) is None
+    assert best_target(initial_state(3), 1, [0.0] * 4, 0.0, None, PARAMS) is None
 
 
 def test_best_target_takes_argmax():
-    assert best_target([(4, 0.2, 0.6), (2, 0.5, 0.9)]) == (2, 0.5, 0.9)
+    state = initial_state(5)
+    for seat in range(1, 5):
+        state.apply_open(seat, seat)
+    values = [0.0, 0.1, 0.9, 0.0, 0.6, 0.0]  # indexed by gift
+    assert best_target(state, 5, values, 0.4, None, PARAMS) == (
+        2, pytest.approx(0.5), 0.9)
 
 
 def test_best_target_tie_breaks_to_lowest_seat():
-    assert best_target([(5, 0.5, 0.7), (3, 0.5, 0.9)])[0] == 3
+    # Seat 5 steals gift 3 from seat 3, who opens gift 5: seat 5's gift comes
+    # first in opening order, and the equal net still goes to seat 3.
+    state = initial_state(6)
+    for seat in range(1, 5):
+        state.apply_open(seat, seat)
+    state.apply_steal(5, 3)
+    state.apply_open(3, 5)
+    values = [0.0, 0.1, 0.2, 0.7, 0.3, 0.7, 0.0]
+    assert best_target(state, 6, values, 0.0, None, PARAMS) == (3, 0.7, 0.7)
 
 
 # -- decision rules ---------------------------------------------------------------
 
 def test_always_open_opens():
-    assert run(Strategy.ALWAYS_OPEN, targets=[(2, 0.9, 0.9)]) is None
+    assert run(Strategy.ALWAYS_OPEN, best=(2, 0.9, 0.9)) is None
 
 
 def test_always_steal_without_targets_opens():
@@ -51,41 +66,40 @@ def test_always_steal_without_targets_opens():
 
 
 def test_always_steal_takes_best():
-    assert run(Strategy.ALWAYS_STEAL,
-               targets=[(2, 0.1, 0.1), (3, 0.4, 0.4)]) == 3
+    assert run(Strategy.ALWAYS_STEAL, best=(3, 0.4, 0.4)) == 3
 
 
 def test_coin_flip_splits_roughly_in_half():
     rng = np.random.default_rng(123)
-    outcomes = [run(Strategy.COIN_FLIP, targets=[(2, 0.9, 0.9)], rng=rng) == 2
+    outcomes = [run(Strategy.COIN_FLIP, best=(2, 0.9, 0.9), rng=rng) == 2
                 for _ in range(2000)]
     assert 0.45 < np.mean(outcomes) < 0.55
 
 
 def test_mean_based_compares_gift_value_to_opened_mean():
-    assert run(Strategy.MEAN_BASED, targets=[(2, 0.3, 0.8)],
+    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.8),
                opened_mean=0.7) == 2
-    assert run(Strategy.MEAN_BASED, targets=[(2, 0.3, 0.6)],
+    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.6),
                opened_mean=0.7) is None
-    assert run(Strategy.MEAN_BASED, targets=[(2, 0.3, 0.7)],
+    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.7),
                opened_mean=0.7) is None  # tie
 
 
 def test_threshold_boundary_is_strict():
-    assert run(Strategy.THRESHOLD, targets=[(2, 0.59, 0.59)]) is None
-    assert run(Strategy.THRESHOLD, targets=[(2, 0.61, 0.61)]) == 2
-    assert run(Strategy.THRESHOLD, targets=[(2, 0.60, 0.60)]) is None
+    assert run(Strategy.THRESHOLD, best=(2, 0.59, 0.59)) is None
+    assert run(Strategy.THRESHOLD, best=(2, 0.61, 0.61)) == 2
+    assert run(Strategy.THRESHOLD, best=(2, 0.60, 0.60)) is None
 
 
 def test_expected_value_compares_net_to_opening_net():
     # wrapped-pool mean 0.5, empty-handed, best steal net 0.7: steal
-    assert run(Strategy.EXPECTED_VALUE, targets=[(2, 0.7, 0.7)],
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.7, 0.7),
                wrapped_mean=0.5) == 2
     # best net below the opening net: open
-    assert run(Strategy.EXPECTED_VALUE, targets=[(2, 0.3, 0.3)],
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.3, 0.3),
                wrapped_mean=0.5) is None
     # holding something shifts the opening side down
-    assert run(Strategy.EXPECTED_VALUE, targets=[(2, 0.3, 0.7)],
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.3, 0.7),
                wrapped_mean=0.5, own=0.4) == 2
 
 
@@ -127,21 +141,22 @@ def test_extreme_weight_is_effectively_deterministic():
 @given(seed=st.integers(0, 5000))
 @settings(max_examples=200, deadline=None)
 def test_decide_never_returns_an_illegal_action(seed):
-    """Property: the victim is always a target's owner, and an open always
-    draws from the pool."""
+    """Property: the victim is always the winning target's seat, and an open
+    always draws from the pool."""
     rng = np.random.default_rng(seed)
-    n_targets = int(rng.integers(0, 5))
-    targets = [(int(v) + 2, float(rng.random()), float(rng.random()))
-               for v in rng.choice(20, size=n_targets, replace=False)]
+    best = None
+    if rng.random() < 0.8:
+        best = (int(rng.integers(2, 22)), float(rng.random()),
+                float(rng.random()))
     pool = [int(g) + 30 for g in rng.choice(10, size=int(rng.integers(1, 6)),
                                             replace=False)]
     kind = STRATEGY_ORDER[int(rng.integers(0, 6))]
-    victim = run(kind, targets=targets, opened_mean=float(rng.random()),
+    victim = run(kind, best=best, opened_mean=float(rng.random()),
                  wrapped_mean=float(rng.random()), rng=rng)
     if victim is None:
         assert choose_open_gift(pool, None, rng) in pool
     else:
-        assert victim in [t[0] for t in targets]
+        assert best is not None and victim == best[0]
         if kind is Strategy.ALWAYS_OPEN:
             pytest.fail("always_open must never steal")
 
