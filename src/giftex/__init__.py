@@ -26,8 +26,8 @@ from .errors import (ConfigurationError, GiftexError, IllegalMoveError,
                      PhaseError)
 from .harness import (Condition, ConditionSummary, ExperimentConfig,
                       PlayedGame, compute_effects, enumerate_conditions,
-                      export, game_rng, game_trace, interaction, load_config,
-                      main_effect, play_game, run_condition, run_experiment)
+                      export, game_rng, game_trace, load_config, play_game,
+                      run_condition, run_experiment)
 from .strategies import (STRATEGY_ORDER, Strategy, best_target,
                          choose_open_gift, decide)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,

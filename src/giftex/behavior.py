@@ -31,7 +31,7 @@ class Feature(Enum):
     BS = "bs"
 
 
-FEATURE_ORDER = (Feature.PI, Feature.SC, Feature.AD, Feature.BS)
+FEATURE_ORDER = tuple(Feature)
 
 ALL_FEATURES = frozenset(FEATURE_ORDER)
 
@@ -124,10 +124,12 @@ def frustration_decay(social: SocialState, gamma_prime: float) -> SocialState:
     """Decay every player's frustration by gamma_prime, floored at 0.
 
     Called once at each round's end; applies to thieves and victims alike.
+    Seats at 0.0 are skipped: the floor would leave them there anyway.
     """
     fr = social.frustration
     for i in range(1, social.n + 1):
-        fr[i] = max(0.0, fr[i] - gamma_prime)
+        if fr[i] > 0.0:
+            fr[i] = max(0.0, fr[i] - gamma_prime)
     return social
 
 

@@ -288,16 +288,28 @@ def run_game(
 def replay(
     n: int, limits: StealLimits, trajectory: Sequence[ActionRecord]
 ) -> GameState:
-    """Re-apply a logged trajectory from scratch and return the end state."""
+    """Re-apply a logged trajectory from scratch and return the end state.
+
+    Each record's `gift` must be the gift its actor received: the one opened
+    or stolen, or seat 1's after the swap (None for a declined swap).
+    """
     state = initial_state(n, limits)
     for rec in trajectory:
         action = rec.action
         if type(action) is Open:
             state.apply_open(rec.actor, action.gift)
+            received = state.ownership[rec.actor]
         elif type(action) is Steal:
             state.apply_steal(rec.actor, action.victim)
+            received = state.ownership[rec.actor]
         elif type(action) is Swap:
             state.final_swap(action.partner)
+            received = (state.ownership[1] if action.partner is not None
+                        else None)
         else:
             raise IllegalMoveError(f"unknown record {rec!r}")
+        if rec.gift != received:
+            raise IllegalMoveError(
+                f"record {rec!r} names gift {rec.gift}, the state gave "
+                f"{received}")
     return state

@@ -17,9 +17,10 @@ import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cache
+from itertools import combinations
 from multiprocessing import get_context
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                         ValuationModel, generate_appearance,
                         generate_valuations)
 
-MODEL_ORDER = (ModelKind.INDEPENDENT, ModelKind.CORRELATED, ModelKind.NEGATIVE)
+MODEL_ORDER = tuple(ModelKind)
 
 # When less than this much selection weight is left wrapped, the pool's weights
 # are re-derived over the pool itself: far above float underflow, and far
@@ -426,89 +427,32 @@ def run_experiment(
 
 EFFECT_METRICS = ("steals_per_game", "mean_chain_length")
 
-SummaryIndex = dict[tuple[str, frozenset[Feature]], ConditionSummary]
-
-
-def _metric_value(summary: ConditionSummary, metric: str) -> float:
-    if metric not in EFFECT_METRICS:
-        raise ValueError(f"unknown metric: {metric}")
-    return getattr(summary, metric)
-
-
-def _index_summaries(
-    summaries: Union[Iterable[ConditionSummary], SummaryIndex],
-) -> SummaryIndex:
-    """(model, features) -> summary; an index passes through as it is."""
-    if isinstance(summaries, dict):
-        return summaries
-    return {(s.model, s.features_set): s for s in summaries}
-
-
-def _lookup(indexed: SummaryIndex, model: str,
-            features: frozenset[Feature]) -> ConditionSummary:
-    try:
-        return indexed[(model, features)]
-    except KeyError:
-        raise ValueError(
-            f"missing condition {model}/{feature_label(features)}") from None
-
-
-def main_effect(
-    summaries: Union[Iterable[ConditionSummary], SummaryIndex],
-    feature: Feature,
-    model: str,
-    metric: str = "steals_per_game",
-) -> float:
-    """Marginal effect of one feature: Y({f}) - Y(BASE), same model.
-    `summaries` may also be their `(model, features)` index."""
-    indexed = _index_summaries(summaries)
-    base = _lookup(indexed, model, frozenset())
-    single = _lookup(indexed, model, frozenset({feature}))
-    return _metric_value(single, metric) - _metric_value(base, metric)
-
-
-def interaction(
-    summaries: Union[Iterable[ConditionSummary], SummaryIndex],
-    f1: Feature,
-    f2: Feature,
-    model: str,
-    metric: str = "steals_per_game",
-) -> float:
-    """Standard 2x2 factorial contrast:
-    Y({f1,f2}) - Y({f1}) - Y({f2}) + Y(BASE). `summaries` may also be their
-    `(model, features)` index."""
-    if f1 == f2:
-        raise ValueError("interaction requires two distinct features")
-    indexed = _index_summaries(summaries)
-    base = _lookup(indexed, model, frozenset())
-    a = _lookup(indexed, model, frozenset({f1}))
-    b = _lookup(indexed, model, frozenset({f2}))
-    both = _lookup(indexed, model, frozenset({f1, f2}))
-    return (_metric_value(both, metric) - _metric_value(a, metric)
-            - _metric_value(b, metric) + _metric_value(base, metric))
-
 
 def compute_effects(summaries: Sequence[ConditionSummary]) -> dict:
-    """Per-model main effects for each feature and pairwise interactions, on
-    each of `EFFECT_METRICS`."""
-    indexed = _index_summaries(summaries)
-    models = []
-    for s in summaries:
-        if s.model not in models:
-            models.append(s.model)
+    """Per model and on each of `EFFECT_METRICS`: each feature's main effect,
+    Y({f}) - Y(BASE), and each pair's 2x2 factorial interaction,
+    Y({f1,f2}) - Y({f1}) - Y({f2}) + Y(BASE). Models keep their order of
+    first appearance; a cell either formula reads must be present."""
+    table = {(s.model, s.features_set): s for s in summaries}
     main: dict = {}
     inter: dict = {}
-    for model in models:
+    for model in dict.fromkeys(s.model for s in summaries):
+        def y(metric: str, *features: Feature) -> float:
+            try:
+                return getattr(table[(model, frozenset(features))], metric)
+            except KeyError:
+                label = feature_label(frozenset(features))
+                raise ValueError(
+                    f"missing condition {model}/{label}") from None
+
         main[model] = {
-            f.name: {m: main_effect(indexed, f, model, m)
-                     for m in EFFECT_METRICS}
+            f.name: {m: y(m, f) - y(m) for m in EFFECT_METRICS}
             for f in FEATURE_ORDER}
-        inter[model] = {}
-        for i, f1 in enumerate(FEATURE_ORDER):
-            for f2 in FEATURE_ORDER[i + 1:]:
-                inter[model][f"{f1.name}x{f2.name}"] = {
-                    m: interaction(indexed, f1, f2, model, m)
-                    for m in EFFECT_METRICS}
+        inter[model] = {
+            f"{f1.name}x{f2.name}": {
+                m: y(m, f1, f2) - y(m, f1) - y(m, f2) + y(m)
+                for m in EFFECT_METRICS}
+            for f1, f2 in combinations(FEATURE_ORDER, 2)}
     return {"main_effects": main, "interactions": inter}
 
 
@@ -547,10 +491,10 @@ def _round_tree(node):
 
 def export(
     summaries: Sequence[ConditionSummary],
-    effects: Optional[dict],
+    effects: dict,
     fmt: str,
     destination: Union[str, Path],
-    config: Optional[ExperimentConfig] = None,
+    config: ExperimentConfig,
 ) -> None:
     """Write the run to `destination` as CSV (one row per condition) or JSON
     (same fields plus a config echo and the effect blocks). Numbers carry six
@@ -567,9 +511,9 @@ def export(
                                  for _, v in _columns(s)])
     elif fmt == "json":
         doc = {
-            "config": config.to_dict() if config is not None else None,
+            "config": config.to_dict(),
             "conditions": [_round_tree(dict(_columns(s))) for s in summaries],
-            "effects": _round_tree(effects) if effects is not None else None,
+            "effects": _round_tree(effects),
         }
         with open(destination, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

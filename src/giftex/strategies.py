@@ -22,14 +22,7 @@ class Strategy(Enum):
     EXPECTED_VALUE = "expected_value"
 
 
-STRATEGY_ORDER = (
-    Strategy.ALWAYS_OPEN,
-    Strategy.ALWAYS_STEAL,
-    Strategy.COIN_FLIP,
-    Strategy.MEAN_BASED,
-    Strategy.THRESHOLD,
-    Strategy.EXPECTED_VALUE,
-)
+STRATEGY_ORDER = tuple(Strategy)
 
 
 def best_target(state, actor: int, values: Sequence[float], own_value: float,

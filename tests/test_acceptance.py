@@ -21,14 +21,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from giftex.behavior import Feature
 from giftex.beliefs import Prior, certainty_equivalent, posterior
 from giftex.counting import (UNLIMITED, brute_force_count, count_trajectories,
                              round_action_count, trajectory_count)
 from giftex.engine import Open, Steal, StealLimits, Swap, replay
 from giftex.harness import (Condition, ExperimentConfig, compute_effects,
-                            enumerate_conditions, export, game_rng,
-                            interaction, main_effect, play_game,
+                            enumerate_conditions, export, game_rng, play_game,
                             run_condition, run_experiment)
 from giftex.strategies import Strategy
 from giftex.valuation import ModelKind
@@ -230,31 +228,39 @@ def desk_run():
     return {(s.model, s.features): s for s in summaries}, list(summaries)
 
 
+@pytest.fixture(scope="module")
+def desk_effects(desk_run):
+    """The desk run's effects on steals per game, from one compute_effects."""
+    effects = compute_effects(desk_run[1])
+    return {block: {model: {name: e["steals_per_game"]
+                            for name, e in by_model.items()}
+                    for model, by_model in effects[block].items()}
+            for block in ("main_effects", "interactions")}
+
+
 def base_steals(runs, model):
     return runs[(model, "BASE")].steals_per_game
 
 
-def test_criterion_6a_social_cost_dominates(desk_run):
-    runs, summaries = desk_run
+def test_criterion_6a_social_cost_dominates(desk_run, desk_effects):
+    runs, _ = desk_run
     for model in ("independent", "correlated", "negative"):
-        effect = main_effect(summaries, Feature.SC, model)
+        effect = desk_effects["main_effects"][model]["SC"]
         base = base_steals(runs, model)
         assert effect < 0
         assert abs(effect) > 0.15 * base, (model, effect, base)
     report("6a", "SC reduces steals by >15% of BASE in all models")
 
 
-def test_criterion_6b_adaptive_dynamics_reduce_stealing(desk_run):
-    _, summaries = desk_run
+def test_criterion_6b_adaptive_dynamics_reduce_stealing(desk_effects):
     for model in ("independent", "correlated", "negative"):
-        assert main_effect(summaries, Feature.AD, model) < 0
+        assert desk_effects["main_effects"][model]["AD"] < 0
     report("6b", "AD main effect negative in all models")
 
 
-def test_criterion_6c_biased_selection_boosts_correlated(desk_run):
-    _, summaries = desk_run
-    bs_correlated = main_effect(summaries, Feature.BS, "correlated")
-    bs_independent = main_effect(summaries, Feature.BS, "independent")
+def test_criterion_6c_biased_selection_boosts_correlated(desk_effects):
+    bs_correlated = desk_effects["main_effects"]["correlated"]["BS"]
+    bs_independent = desk_effects["main_effects"]["independent"]["BS"]
     assert bs_correlated > 0
     assert bs_correlated > bs_independent
     report("6c", f"BS effect correlated {bs_correlated:+.2f} vs "
@@ -288,9 +294,8 @@ def test_criterion_6f_strategy_ordering(desk_run):
     report("6f", "aggressive > coin_flip > always_open in BASE/correlated")
 
 
-def test_criterion_6g_social_cost_adaptive_subadditivity(desk_run):
-    _, summaries = desk_run
-    got = interaction(summaries, Feature.SC, Feature.AD, "correlated")
+def test_criterion_6g_social_cost_adaptive_subadditivity(desk_effects):
+    got = desk_effects["interactions"]["correlated"]["SCxAD"]
     assert got > 0
     report("6g", f"SCxAD interaction on steals {got:+.2f} (subadditive)")
 

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+from giftex.behavior import BehaviorParams, feature_set
 from giftex.cli import main
 from giftex.counting import count_trajectories
+from giftex.harness import ExperimentConfig, game_rng, game_trace, play_game
+from giftex.valuation import ModelKind
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +115,29 @@ def test_simulate_trace_lists_every_action(capsys):
     swaps = sum(1 for l in trace_lines if "swap" in l or "keep" in l)
     assert opens == 4 and swaps == 1
     assert steals == int(out.split("steals: ")[1].split()[0])
+
+
+def test_simulate_trace_prints_one_line_per_trace_record(capsys):
+    _, out, _ = run_cli(capsys, "simulate", "--players", "6", "--seed", "2",
+                        "--features", "sc,bs", "--model", "correlated",
+                        "--trace")
+    lines = [l for l in out.splitlines() if l.startswith("  round")]
+    config = ExperimentConfig(n_players=6, base_seed=2)
+    game = play_game(6, config.limits, config.model_for(ModelKind.CORRELATED),
+                     feature_set("sc", "bs"), BehaviorParams(), game_rng(2, 0, 0))
+    records = game_trace(game)["trajectory"]
+    assert len(lines) == len(records)
+    assert records[-1]["partner"] is not None  # the swap line is exercised
+    for line, rec in zip(lines, records):
+        head, desc = line.split(": ")
+        assert head.split() == ["round", str(rec["round"]),
+                                "chain", str(rec["position_in_chain"]),
+                                "seat", str(rec["actor"])]
+        assert desc == {
+            "open": f"open gift {rec['gift']}",
+            "steal": f"steal gift {rec['gift']} from seat {rec.get('victim')}",
+            "swap": f"swap with seat {rec.get('partner')}",
+        }[rec["kind"]]
 
 
 def test_simulate_bad_feature_is_exit_two(capsys):

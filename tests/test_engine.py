@@ -1,6 +1,7 @@
 """Engine mechanics: transitions, chains, limits, rounds, replay, determinism."""
 
 import copy
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -338,6 +339,26 @@ def test_random_games_keep_invariants(seed):
     limits = StealLimits(int(rng.integers(0, 3)), int(rng.integers(0, 4)))
     result = run_game(n, limits, random_policy, rng=rng)
     assert_game_invariants(result)
+
+
+def test_replay_rejects_a_tampered_gift():
+    """A record's gift must be what its actor received: the gift opened, the
+    victim's gift before the steal, or seat 1's after the swap (None when
+    the swap is declined). Changing any one of them fails the replay."""
+    result = run_game(5, STANDARD_LIMITS, greedy_steal, swap=lambda st, rng: 2)
+    assert {type(rec.action) for rec in result.trajectory} == {Open, Steal, Swap}
+    replay(5, STANDARD_LIMITS, result.trajectory)
+    for i, rec in enumerate(result.trajectory):
+        tampered = list(result.trajectory)
+        tampered[i] = dataclasses.replace(rec, gift=rec.gift % 5 + 1)
+        with pytest.raises(IllegalMoveError, match="names gift"):
+            replay(5, STANDARD_LIMITS, tampered)
+    declined = run_game(3, STANDARD_LIMITS, open_lowest)
+    *rounds, swap = declined.trajectory
+    assert swap.gift is None
+    accepted = dataclasses.replace(swap, gift=declined.final_ownership[1])
+    with pytest.raises(IllegalMoveError, match="names gift"):
+        replay(3, STANDARD_LIMITS, [*rounds, accepted])
 
 
 @given(seed=st.integers(min_value=0, max_value=2000))

@@ -16,9 +16,8 @@ from giftex.engine import StealLimits
 from giftex.errors import ConfigurationError
 from giftex.harness import (Condition, ConditionSummary, ExperimentConfig,
                             compute_effects, enumerate_conditions, export,
-                            game_rng, game_trace, interaction, load_config,
-                            main_effect, play_game, run_condition,
-                            run_experiment)
+                            game_rng, game_trace, load_config, play_game,
+                            run_condition, run_experiment)
 from giftex.strategies import STRATEGY_ORDER, Strategy
 from giftex.valuation import ModelKind
 
@@ -256,53 +255,64 @@ def test_run_experiment_subset_matches_run_condition():
 
 # -- effects ---------------------------------------------------------------------------
 
-def fake_summary(index, model, features, steals, chain=2.0):
-    label = "BASE" if not features else "+".join(sorted(f.name for f in features))
-    return ConditionSummary(
-        index=index, model=model, features=label, features_set=frozenset(features),
-        games=10, steals_per_game=steals, mean_chain_length=chain,
-        seat_means=(0.5, 0.6), strategy_means={s.value: 0.5 for s in STRATEGY_ORDER},
+def fake_table(model, steals):
+    """A full 16-cell table for `model`: steals per game from `steals`, keyed
+    by feature set, 0.0 in every other cell; chain length 2.0 throughout."""
+    return [ConditionSummary(
+        index=c.index, model=model, features=c.label, features_set=c.features,
+        games=10, steals_per_game=steals.get(c.features, 0.0),
+        mean_chain_length=2.0, seat_means=(0.5, 0.6),
+        strategy_means={s.value: 0.5 for s in STRATEGY_ORDER},
         strategy_counts={s.value: 10 for s in STRATEGY_ORDER})
+        for c in enumerate_conditions(SMALL)[:16]]
+
+
+def steal_effects(model, steals):
+    effects = compute_effects(fake_table(model, steals))
+    return ({f: e["steals_per_game"]
+             for f, e in effects["main_effects"][model].items()},
+            {pair: e["steals_per_game"]
+             for pair, e in effects["interactions"][model].items()})
 
 
 def test_main_effect_and_interaction_formulas():
-    summaries = [
-        fake_summary(0, "independent", set(), 100.0),
-        fake_summary(1, "independent", {Feature.PI}, 103.0),
-        fake_summary(2, "independent", {Feature.SC}, 60.0),
-        fake_summary(3, "independent", {Feature.PI, Feature.SC}, 70.0),
-    ]
-    assert main_effect(summaries, Feature.SC, "independent") == pytest.approx(-40.0)
-    assert main_effect(summaries, Feature.PI, "independent") == pytest.approx(3.0)
-    got = interaction(summaries, Feature.PI, Feature.SC, "independent")
-    assert got == pytest.approx(70.0 - 103.0 - 60.0 + 100.0)
+    main, inter = steal_effects("independent", {
+        frozenset(): 100.0,
+        frozenset({Feature.PI}): 103.0,
+        frozenset({Feature.SC}): 60.0,
+        frozenset({Feature.PI, Feature.SC}): 70.0,
+    })
+    assert main["SC"] == pytest.approx(-40.0)
+    assert main["PI"] == pytest.approx(3.0)
+    assert inter["PIxSC"] == pytest.approx(70.0 - 103.0 - 60.0 + 100.0)
 
 
 def test_additive_world_has_zero_interaction():
-    summaries = [
-        fake_summary(0, "independent", set(), 100.0),
-        fake_summary(1, "independent", {Feature.AD}, 90.0),
-        fake_summary(2, "independent", {Feature.BS}, 110.0),
-        fake_summary(3, "independent", {Feature.AD, Feature.BS}, 100.0),
-    ]
-    assert interaction(summaries, Feature.AD, Feature.BS, "independent") \
-        == pytest.approx(0.0)
+    _, inter = steal_effects("independent", {
+        frozenset(): 100.0,
+        frozenset({Feature.AD}): 90.0,
+        frozenset({Feature.BS}): 110.0,
+        frozenset({Feature.AD, Feature.BS}): 100.0,
+    })
+    assert inter["ADxBS"] == pytest.approx(0.0)
 
 
 def test_effect_requires_all_conditions():
-    summaries = [fake_summary(0, "independent", set(), 100.0)]
-    with pytest.raises(ValueError):
-        main_effect(summaries, Feature.SC, "independent")
-    with pytest.raises(ValueError):
-        interaction(summaries, Feature.PI, Feature.SC, "independent")
+    base_only = [s for s in fake_table("independent", {}) if not s.features_set]
+    with pytest.raises(ValueError, match="missing condition independent/PI$"):
+        compute_effects(base_only)
+    no_pair = [s for s in fake_table("independent", {})
+               if s.features_set != {Feature.PI, Feature.SC}]
+    with pytest.raises(ValueError, match="missing condition independent/PI\\+SC"):
+        compute_effects(no_pair)
 
 
 def test_identical_behavior_gives_zero_main_effect():
-    summaries = [
-        fake_summary(0, "negative", set(), 55.0),
-        fake_summary(1, "negative", {Feature.PI}, 55.0),
-    ]
-    assert main_effect(summaries, Feature.PI, "negative") == 0.0
+    main, _ = steal_effects("negative", {
+        frozenset(): 55.0,
+        frozenset({Feature.PI}): 55.0,
+    })
+    assert main["PI"] == 0.0
 
 
 # -- export -----------------------------------------------------------------------------
