@@ -203,6 +203,8 @@ def play_game(
     rows = vm.values.tolist()
     V = [None] + [[0.0] + row for row in rows]  # V[seat][gift]
     total_sum = [0.0] + [sum(row) for row in rows]
+    # order[seat]: gift ids by descending value, for `best_target`'s walk.
+    order = [None] + (np.argsort(-vm.values, axis=1) + 1).tolist()
 
     pi_on = Feature.PI in features
     sc_on = Feature.SC in features
@@ -227,7 +229,7 @@ def play_game(
     social = SocialState(n)
     sc_social = social if sc_on else None
     frustration = social.frustration
-    opened_sum = [0.0] * (n + 1)  # per seat, over opened gifts
+    opened_sum = np.zeros(n + 1)  # per seat, over opened gifts
 
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
     inv_n = 1.0 / n
@@ -245,16 +247,15 @@ def play_game(
                 p0, st.round * inv_n, frustration[actor], own_value,
                 l1, l2, l3):
             # Through the module, where the benchmark's tracer wraps it.
-            best = strategies.best_target(st, actor, v_row, own_value,
-                                          sc_social, params)
+            best = strategies.best_target(st, actor, v_row, order[actor],
+                                          own_value, sc_social, params)
             opened_count = len(st.opened_order)
-            opened_mean = (opened_sum[actor] / opened_count
-                           if opened_count else 0.0)
+            seen_sum = float(opened_sum[actor])
+            opened_mean = seen_sum / opened_count if opened_count else 0.0
             if pi_on:
                 wrapped_mean = ce_wrapped_sum / len(wrapped)
             else:
-                wrapped_mean = ((total_sum[actor] - opened_sum[actor])
-                                / len(wrapped))
+                wrapped_mean = (total_sum[actor] - seen_sum) / len(wrapped)
             victim = strategy_decide(by_seat[actor], best, own_value,
                                      opened_mean, wrapped_mean,
                                      params.threshold, game_rng)
@@ -269,8 +270,7 @@ def play_game(
                     weights[gift] = w
                 wrapped_weight = 1.0
             g = choose_open_gift(wrapped, weights, game_rng)
-            for seat in range(1, n + 1):
-                opened_sum[seat] += V[seat][g]
+            opened_sum[1:] += vm.values.T[g - 1]
             if pi_on:
                 ce_wrapped_sum -= ce[g]
             if bs_on:

@@ -3,8 +3,11 @@
 Every decision point compares the best available steal against opening. A
 target is a (victim seat, net steal utility, perceived value of the victim's
 gift) triple; `best_target` finds the one with maximal net utility, ties
-broken toward the lowest seat, and `decide` reads only that winner. All
-"exceeds" comparisons are strict, so exact ties favor opening.
+broken toward the lowest seat, and `decide` reads only that winner. The scan
+walks the actor's value row in descending order, sorted once per game, and
+stops as soon as no remaining gift can win, so a decision seldom looks at
+every opened gift. All "exceeds" comparisons are strict, so exact ties favor
+opening.
 """
 
 from __future__ import annotations
@@ -25,32 +28,44 @@ class Strategy(Enum):
 STRATEGY_ORDER = tuple(Strategy)
 
 
-def best_target(state, actor: int, values: Sequence[float], own_value: float,
-                social, params) -> Optional[tuple[int, float, float]]:
+def best_target(state, actor: int, values: Sequence[float],
+                order: Sequence[int], own_value: float, social,
+                params) -> Optional[tuple[int, float, float]]:
     """The steal `actor` values most, as (victim seat, net utility, gift
     value), or None when no opened gift may be stolen.
 
-    One pass in opening order. It skips the actor's own gift and every gift
-    `GameState.stealable` refuses (that rule, inlined: this is the hot path).
-    `values[g]` is the actor's true value of opened gift g and `own_value`
-    that of its holding, 0 when empty-handed. With `social` (SC on) the net
-    also pays the social cost: norm violation plus reputation, plus damage
-    growing with prior steals from the same victim. A strictly greater net
-    wins; an equal net goes to the lower seat.
+    `values[g]` is the actor's true value of gift g, `order` the actor's gift
+    ids by descending value, and `own_value` the value of its holding, 0 when
+    empty-handed. The walk skips wrapped gifts, the actor's own, and every
+    gift `GameState.stealable` refuses (that rule, inlined: this is the hot
+    path). With `social` (SC on) the net also pays the social cost: norm
+    violation plus reputation, plus damage growing with prior steals from the
+    same victim. A strictly greater net wins; an equal net goes to the lower
+    seat.
+
+    The walk stops at the first gift whose bound `value - own_value -
+    base_cost` is below the best net so far. The bound holds in floats: the
+    repeat cost is >= 0 (`BehaviorParams` refuses negative c0, alpha and
+    beta), float subtraction is monotone in its subtrahend, and the values
+    only fall along `order`. On a bound equal to the best net the
+    walk goes on, since a lower seat may still tie.
     """
     holder, locked = state.holder, state.chain_locked
     lifetime, total = state.limits.lifetime, state.total_steals
+    base_cost = 0.0
     if social is not None:
         base_cost = params.c0 + params.beta * social.steals_committed[actor]
         repeat_cost = params.c0 * params.alpha
         h_row = social.history[actor]
     best_victim, best_net, best_value = 0, 0.0, 0.0  # seat 0: none yet
-    for g in state.opened_order:
+    for g in order:
         victim = holder[g]
-        if (victim == actor or g in locked
+        if (victim is None or victim == actor or g in locked
                 or (lifetime and total[g] >= lifetime)):
             continue
         value = values[g]
+        if best_victim and value - own_value - base_cost < best_net:
+            break
         net = value - own_value
         if social is not None:
             # Float addition is not associative; the exports pin this order.

@@ -18,6 +18,11 @@ from giftex.strategies import best_target
 PARAMS = BehaviorParams()
 
 
+def by_value(values):
+    """Gift ids by descending value: the `order` `best_target` walks."""
+    return sorted(range(1, len(values)), key=values.__getitem__, reverse=True)
+
+
 # -- feature plumbing ---------------------------------------------------------
 
 def test_feature_parsing_and_labels():
@@ -54,7 +59,8 @@ def nets(state, actor, values, own_value, social=None, params=PARAMS):
         if gift in locked:
             continue
         state.chain_locked = locked | (opened - {gift})
-        best = best_target(state, actor, values, own_value, social, params)
+        best = best_target(state, actor, values, by_value(values), own_value,
+                           social, params)
         if best is not None:
             out[best[0]] = best[1]
     state.chain_locked = locked
@@ -118,8 +124,8 @@ def build_two_owner_state():
 def test_net_utility_empty_handed_no_social_cost():
     state = build_two_owner_state()
     values = [0.0, 0.9, 0.4]  # indexed by gift
-    assert best_target(state, 3, values, 0.0, None, PARAMS) == (
-        1, pytest.approx(0.9), 0.9)
+    assert best_target(state, 3, values, by_value(values), 0.0, None,
+                       PARAMS) == (1, pytest.approx(0.9), 0.9)
     assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.9),
                                            2: pytest.approx(0.4)}
 
@@ -152,7 +158,8 @@ def test_with_sc_disabled_cost_is_ignored():
     values = [0.0, 0.7, 0.7]
     assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.7),
                                            2: pytest.approx(0.7)}
-    assert best_target(state, 3, values, 0.0, None, PARAMS)[0] == 1
+    assert best_target(state, 3, values, by_value(values), 0.0, None,
+                       PARAMS)[0] == 1
 
 
 # -- frustration ----------------------------------------------------------------

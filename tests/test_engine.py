@@ -27,12 +27,18 @@ def greedy_steal(state, actor, rng):
     return steals[0] if steals else actions[0]
 
 
+def by_value(values):
+    """Gift ids by descending value: the `order` `best_target` walks."""
+    return sorted(range(1, len(values)), key=values.__getitem__, reverse=True)
+
+
 def scan_takes(state, actor, gift):
     """Whether `best_target` steals `gift` for `actor` when only that gift is
     worth anything to it."""
     values = [0.0] * (state.n + 1)
     values[gift] = 1.0
-    best = best_target(state, actor, values, 0.0, None, None)
+    best = best_target(state, actor, values, by_value(values), 0.0, None,
+                       None)
     return best is not None and best[0] == state.holder[gift]
 
 
@@ -55,7 +61,9 @@ def test_initial_state_29_players():
     assert len(s.wrapped) == 29
     assert s.round == 1
     assert sum(s.total_steals) == 0 and s.chain_locked == set()
-    assert best_target(s, 1, [0.0] * 30, 0.0, None, None) is None
+    values = [0.0] * 30
+    assert best_target(s, 1, values, by_value(values), 0.0, None,
+                       None) is None
 
 
 def test_initial_state_rejects_empty_game():

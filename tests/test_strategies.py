@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giftex.behavior import BehaviorParams, selection_weights
-from giftex.engine import initial_state
+from giftex.behavior import BehaviorParams, SocialState, selection_weights
+from giftex.engine import Open, StealLimits, initial_state
 from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
                                choose_open_gift, decide)
+from giftex.valuation import ModelKind, ValuationModel, generate_valuations
 
 
 def run(kind, best=None, opened_mean=0.5, wrapped_mean=0.5, own=0.0,
@@ -22,6 +23,11 @@ RNG = np.random.default_rng(0)
 PARAMS = BehaviorParams()
 
 
+def by_value(values):
+    """Gift ids by descending value: the `order` `best_target` walks."""
+    return sorted(range(1, len(values)), key=values.__getitem__, reverse=True)
+
+
 def test_strategy_names_are_the_cli_identifiers():
     assert [s.value for s in STRATEGY_ORDER] == [
         "always_open", "always_steal", "coin_flip",
@@ -31,7 +37,9 @@ def test_strategy_names_are_the_cli_identifiers():
 # -- best_target ----------------------------------------------------------------
 
 def test_best_target_none_without_owners():
-    assert best_target(initial_state(3), 1, [0.0] * 4, 0.0, None, PARAMS) is None
+    values = [0.0] * 4
+    assert best_target(initial_state(3), 1, values, by_value(values), 0.0,
+                       None, PARAMS) is None
 
 
 def test_best_target_takes_argmax():
@@ -39,8 +47,8 @@ def test_best_target_takes_argmax():
     for seat in range(1, 5):
         state.apply_open(seat, seat)
     values = [0.0, 0.1, 0.9, 0.0, 0.6, 0.0]  # indexed by gift
-    assert best_target(state, 5, values, 0.4, None, PARAMS) == (
-        2, pytest.approx(0.5), 0.9)
+    assert best_target(state, 5, values, by_value(values), 0.4, None,
+                       PARAMS) == (2, pytest.approx(0.5), 0.9)
 
 
 def test_best_target_tie_breaks_to_lowest_seat():
@@ -52,7 +60,100 @@ def test_best_target_tie_breaks_to_lowest_seat():
     state.apply_steal(5, 3)
     state.apply_open(3, 5)
     values = [0.0, 0.1, 0.2, 0.7, 0.3, 0.7, 0.0]
-    assert best_target(state, 6, values, 0.0, None, PARAMS) == (3, 0.7, 0.7)
+    assert best_target(state, 6, values, by_value(values), 0.0, None,
+                       PARAMS) == (3, 0.7, 0.7)
+
+
+def test_best_target_walks_on_through_a_tie_at_the_bound():
+    # Seat 5 holds gift 3 and seat 3 gift 5, both worth 0.7. Walking gift 3
+    # first finds seat 5; gift 5's bound equals that net, so the walk goes on
+    # and the lower seat 3 still wins, in either order of the tie.
+    state = initial_state(6)
+    for seat in range(1, 5):
+        state.apply_open(seat, seat)
+    state.apply_steal(5, 3)
+    state.apply_open(3, 5)
+    values = [0.0, 0.1, 0.2, 0.7, 0.3, 0.7, 0.0]
+    for order in ([3, 5, 4, 2, 1, 6], [5, 3, 4, 2, 1, 6]):
+        assert best_target(state, 6, values, order, 0.0, None,
+                           PARAMS) == (3, 0.7, 0.7)
+
+
+def full_scan(state, actor, values, own_value, social, params):
+    """The reference scan: every opened gift, in opening order, no early
+    exit. `best_target` must return exactly what this returns."""
+    holder, locked = state.holder, state.chain_locked
+    lifetime, total = state.limits.lifetime, state.total_steals
+    if social is not None:
+        base_cost = params.c0 + params.beta * social.steals_committed[actor]
+        repeat_cost = params.c0 * params.alpha
+        h_row = social.history[actor]
+    best_victim, best_net, best_value = 0, 0.0, 0.0  # seat 0: none yet
+    for g in state.opened_order:
+        victim = holder[g]
+        if (victim == actor or g in locked
+                or (lifetime and total[g] >= lifetime)):
+            continue
+        value = values[g]
+        net = value - own_value
+        if social is not None:
+            net -= base_cost + repeat_cost * h_row[victim]
+        if (not best_victim or net > best_net
+                or (net == best_net and victim < best_victim)):
+            best_victim, best_net, best_value = victim, net, value
+    return (best_victim, best_net, best_value) if best_victim else None
+
+
+def shuffled_order(values, rng):
+    """Gift ids by descending value, each group of equal values shuffled."""
+    keys = rng.random(len(values))
+    return sorted(range(1, len(values)), key=lambda g: (-values[g], keys[g]))
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_sorted_walk_matches_full_scan(kind, quantized):
+    """Property: over random reachable states, `best_target` equals the full
+    scan exactly, SC off and on, under lifetime caps 0, 1 and 2. The
+    correlated and negative models clip to exact 0.0 and 1.0 and the
+    quantized rows take five values, so ties are common."""
+    rng = np.random.default_rng([13, len(kind.value), quantized])
+    ties = 0
+    for trial in range(24):
+        n = int(rng.integers(2, 12))
+        values = generate_valuations(ValuationModel(kind), n, rng).values
+        if quantized:
+            values = np.round(values * 4) / 4
+        V = [None] + [[0.0] + row for row in values.tolist()]
+        state = initial_state(n, StealLimits(1, trial % 3))
+        params = BehaviorParams(c0=float(rng.choice([0.0, 0.05, 0.25])),
+                                alpha=float(rng.choice([0.0, 2.0])),
+                                beta=float(rng.choice([0.0, 0.1])))
+        social = SocialState(n)
+        for thief in range(1, n + 1):
+            social.steals_committed[thief] = int(rng.integers(0, 4))
+            for victim in range(1, n + 1):
+                social.history[thief][victim] = int(rng.integers(0, 3))
+        while not state.swap_pending:
+            for actor in range(1, n + 1):
+                row = V[actor]
+                own = state.ownership[actor]
+                own_value = row[own] if own is not None else 0.0
+                order = shuffled_order(row, rng)
+                ties += len(set(row[1:])) < n
+                for sc in (None, social):
+                    assert best_target(
+                        state, actor, row, order, own_value, sc, params
+                    ) == full_scan(state, actor, row, own_value, sc, params)
+            actor = state.round if state.displaced is None else state.displaced
+            actions = state.legal_actions(actor)
+            action = actions[int(rng.integers(0, len(actions)))]
+            if isinstance(action, Open):
+                state.apply_open(actor, action.gift)
+            else:
+                state.apply_steal(actor, action.victim)
+    if quantized or kind is not ModelKind.INDEPENDENT:
+        assert ties  # the tie-break was exercised
 
 
 # -- decision rules ---------------------------------------------------------------
