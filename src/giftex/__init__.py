@@ -21,7 +21,7 @@ from .counting import (UNLIMITED, brute_force_count, count_chains,
                        trajectory_count)
 from .engine import (STANDARD_LIMITS, ActionRecord, GameResult, GameState,
                      Open, Steal, StealLimits, Swap, initial_state, replay,
-                     run_game, run_round)
+                     run_game)
 from .errors import (ConfigurationError, GiftexError, IllegalMoveError,
                      PhaseError)
 from .harness import (Condition, ConditionSummary, ExperimentConfig,

@@ -4,7 +4,8 @@ Players and gifts are identified by 1-based seat/gift indices. Seat order is
 turn order: seat k takes the primary turn of round k. A steal displaces its
 victim, who must act immediately; the resulting chain ends when somebody opens
 a wrapped gift, which also ends the round. After round n the first player may
-swap with any other player, then the game is over.
+swap with any other player, then the game is over. `run_game` is the one
+round loop; `replay` checks a logged trajectory by playing it again through it.
 
 State is mutated in place. A single game is strictly single-threaded; distinct
 games may run concurrently as long as each owns its state and random stream.
@@ -12,7 +13,7 @@ games may run concurrently as long as each owns its state and random stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (ConfigurationError, IllegalMoveError, PhaseError,
@@ -214,39 +215,6 @@ def initial_state(n: int, limits: StealLimits = STANDARD_LIMITS) -> GameState:
     return GameState(n, limits)
 
 
-def run_round(
-    state: GameState, decide: DecideFn, rng: object = None
-) -> tuple[int, list[ActionRecord]]:
-    """Play one full round: the primary turn plus any displacement chain.
-
-    `decide(state, actor, rng)` must return a legal Open or Steal; an illegal
-    action raises immediately (policies are trusted code, not user input).
-    Returns the chain length (number of steals) and the action records.
-    """
-    if state.swap_pending or state.concluded:
-        raise PhaseError("all rounds already played")
-    k = state.round
-    actor = k
-    position = 0
-    records: list[ActionRecord] = []
-    while True:
-        action = decide(state, actor, rng)
-        if type(action) is Open:
-            state.apply_open(actor, action.gift)
-            records.append(ActionRecord(actor, action, k, position, action.gift))
-            assert position <= state.n - 1  # chain termination bound
-            return position, records
-        if type(action) is Steal:
-            victim = action.victim
-            gift = state.ownership[victim]
-            state.apply_steal(actor, victim)
-            records.append(ActionRecord(actor, action, k, position, gift))
-            position += 1
-            actor = victim
-        else:
-            raise IllegalMoveError(f"policy returned {action!r}")
-
-
 def run_game(
     n: int,
     limits: StealLimits,
@@ -257,6 +225,9 @@ def run_game(
 ) -> GameResult:
     """Play rounds 1..n and the final swap; returns a bijective allocation.
 
+    Round k is seat k's primary turn plus the displacement chain it starts.
+    `decide(state, actor, rng)` must return a legal Open or Steal; an illegal
+    action raises immediately (policies are trusted code, not user input).
     `swap(state, rng)` picks seat 1's trade partner (None keeps); when omitted
     the swap is declined. `on_round_end` is a bookkeeping hook (e.g. emotional
     decay) called after each round.
@@ -264,10 +235,25 @@ def run_game(
     state = initial_state(n, limits)
     chain_lengths: list[int] = []
     trajectory: list[ActionRecord] = []
-    for _ in range(n):
-        length, records = run_round(state, decide, rng)
-        chain_lengths.append(length)
-        trajectory.extend(records)
+    for k in range(1, n + 1):
+        actor, position = k, 0
+        while True:
+            action = decide(state, actor, rng)
+            if type(action) is Open:
+                state.apply_open(actor, action.gift)
+                trajectory.append(
+                    ActionRecord(actor, action, k, position, action.gift))
+                break
+            if type(action) is not Steal:
+                raise IllegalMoveError(f"policy returned {action!r}")
+            victim = action.victim
+            gift = state.ownership[victim]
+            state.apply_steal(actor, victim)
+            trajectory.append(ActionRecord(actor, action, k, position, gift))
+            position += 1
+            actor = victim
+        assert position <= n - 1  # chain termination bound
+        chain_lengths.append(position)
         if on_round_end is not None:
             on_round_end(state)
     partner = swap(state, rng) if swap is not None else None
@@ -288,28 +274,38 @@ def run_game(
 def replay(
     n: int, limits: StealLimits, trajectory: Sequence[ActionRecord]
 ) -> GameState:
-    """Re-apply a logged trajectory from scratch and return the end state.
+    """Play a logged trajectory again through `run_game`; return the end state.
 
-    Each record's `gift` must be the gift its actor received: the one opened
-    or stolen, or seat 1's after the swap (None for a declined swap).
+    The log's actions drive the game, and the game must log exactly the same
+    records: every field, the swap last, nothing after it. Any other log
+    raises `IllegalMoveError`.
     """
-    state = initial_state(n, limits)
-    for rec in trajectory:
-        action = rec.action
-        if type(action) is Open:
-            state.apply_open(rec.actor, action.gift)
-            received = state.ownership[rec.actor]
-        elif type(action) is Steal:
-            state.apply_steal(rec.actor, action.victim)
-            received = state.ownership[rec.actor]
-        elif type(action) is Swap:
-            state.final_swap(action.partner)
-            received = (state.ownership[1] if action.partner is not None
-                        else None)
-        else:
-            raise IllegalMoveError(f"unknown record {rec!r}")
-        if rec.gift != received:
-            raise IllegalMoveError(
-                f"record {rec!r} names gift {rec.gift}, the state gave "
-                f"{received}")
-    return state
+    log = tuple(trajectory)
+    moves = iter(log)
+    end: list[GameState] = []
+
+    def decide(state: GameState, actor: int, rng: object) -> Action:
+        rec = next(moves, None)
+        if rec is None:
+            raise IllegalMoveError("the log ends before the game does")
+        return rec.action
+
+    def swap(state: GameState, rng: object) -> Optional[int]:
+        rec = next(moves, None)
+        if rec is None or type(rec.action) is not Swap:
+            raise IllegalMoveError(f"the log has {rec!r} where the swap is due")
+        end.append(state)
+        return rec.action.partner
+
+    played = run_game(n, limits, decide, swap).trajectory
+    if played != log:
+        for i, (got, want) in enumerate(zip(log, played)):
+            if got != want:
+                name = next(f.name for f in fields(ActionRecord)
+                            if getattr(got, f.name) != getattr(want, f.name))
+                raise IllegalMoveError(
+                    f"record {i} {got!r} names {name} {getattr(got, name)}, "
+                    f"the game logs {getattr(want, name)}")
+        raise IllegalMoveError(
+            f"the log has {len(log)} records, the game {len(played)}")
+    return end[0]

@@ -284,15 +284,10 @@ def play_game(
 
     def swap(st, game_rng):
         # Seat 1 trades for its top-valued gift; strict improvement only.
+        # `max` keeps the first maximum: the lowest gift id on a tie.
         row = V[1]
-        own = st.ownership[1]
-        best_gift, best_value = own, row[own]
-        for g in range(1, n + 1):
-            if row[g] > best_value:
-                best_gift, best_value = g, row[g]
-        if best_gift == own:
-            return None
-        return st.holder[best_gift]
+        top = max(range(1, n + 1), key=row.__getitem__)
+        return st.holder[top] if row[top] > row[st.ownership[1]] else None
 
     def round_end(st):
         frustration_decay(social, params.gamma_prime)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giftex.engine import (STANDARD_LIMITS, GameState, Open, Steal, StealLimits,
-                           Swap, initial_state, replay, run_game, run_round)
+                           Swap, initial_state, replay, run_game)
 from giftex.errors import ConfigurationError, IllegalMoveError, PhaseError
 from giftex.strategies import best_target
 
@@ -369,6 +369,32 @@ def test_replay_rejects_a_tampered_gift():
         replay(3, STANDARD_LIMITS, [*rounds, accepted])
 
 
+def change(log, i, **fields):
+    log[i] = dataclasses.replace(log[i], **fields)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda log: (change(log, 0, actor=2), change(log, 1, actor=1)),
+    lambda log: change(log, 2, round=1),
+    lambda log: change(log, 1, position_in_chain=9),
+    lambda log: log.clear(),
+    lambda log: log.pop(),
+    lambda log: log.append(log[-1]),
+    lambda log: log.insert(1, log[-1]),
+    lambda log: log.insert(-1, log[0]),
+], ids=["actors-of-two-rounds-swapped", "wrong-round", "wrong-position",
+        "empty-log", "swap-dropped", "one-record-too-many", "swap-in-mid-log",
+        "open-where-the-swap-is-due"])
+def test_replay_rejects_a_log_no_game_writes(tamper):
+    """Replay plays the log through the round loop, so every field of every
+    record, the swap's place at the end and the log's length are checked."""
+    result = run_game(4, STANDARD_LIMITS, open_lowest)
+    log = list(result.trajectory)
+    tamper(log)
+    with pytest.raises(IllegalMoveError):
+        replay(4, STANDARD_LIMITS, log)
+
+
 @given(seed=st.integers(min_value=0, max_value=2000))
 @settings(max_examples=40, deadline=None)
 def test_ownership_injective_after_every_transition(seed):
@@ -396,12 +422,15 @@ def test_ownership_injective_after_every_transition(seed):
 
 
 def test_exactly_k_opened_after_round_k():
-    rng = np.random.default_rng(5)
-    state = initial_state(12)
-    for k in range(1, 13):
-        run_round(state, random_policy, rng)
-        assert sum(h is not None for h in state.holder[1:]) == k
-        assert len(state.wrapped) == 12 - k
+    seen = []  # (holders, wrapped gifts) after each round
+
+    def check(state):
+        seen.append((sum(h is not None for h in state.holder[1:]),
+                     len(state.wrapped)))
+
+    run_game(12, STANDARD_LIMITS, random_policy,
+             rng=np.random.default_rng(5), on_round_end=check)
+    assert seen == [(k, 12 - k) for k in range(1, 13)]
 
 
 def steal_first(state, actor, rng):
