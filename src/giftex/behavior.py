@@ -100,11 +100,11 @@ class SocialState:
     trade and touches nothing here.
     """
 
-    __slots__ = ("n", "frustration", "steals_committed", "history")
+    __slots__ = ("frustration", "frustrated", "steals_committed", "history")
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.frustration = [0.0] * (n + 1)
+        self.frustrated: set[int] = set()  # seats `frustration_decay` visits
         self.steals_committed = [0] * (n + 1)
         self.history = [[0] * (n + 1) for _ in range(n + 1)]
 
@@ -117,6 +117,7 @@ class SocialState:
 def frustration_on_theft(social: SocialState, victim: int, gamma: float) -> SocialState:
     """Bump the victim's frustration by gamma, capped at 1."""
     social.frustration[victim] = min(1.0, social.frustration[victim] + gamma)
+    social.frustrated.add(victim)
     return social
 
 
@@ -124,12 +125,14 @@ def frustration_decay(social: SocialState, gamma_prime: float) -> SocialState:
     """Decay every player's frustration by gamma_prime, floored at 0.
 
     Called once at each round's end; applies to thieves and victims alike.
-    Seats at 0.0 are skipped: the floor would leave them there anyway.
+    Only seats `frustration_on_theft` raised are visited, each until it is
+    back at 0.0, so a value written to `frustration` directly never decays.
     """
-    fr = social.frustration
-    for i in range(1, social.n + 1):
-        if fr[i] > 0.0:
-            fr[i] = max(0.0, fr[i] - gamma_prime)
+    fr, frustrated = social.frustration, social.frustrated
+    for i in tuple(frustrated):
+        fr[i] = max(0.0, fr[i] - gamma_prime)
+        if fr[i] == 0.0:
+            frustrated.remove(i)
     return social
 
 

@@ -63,7 +63,8 @@ def wrapped_gift_value(signal: float, params: BehaviorParams) -> float:
     """Certainty equivalent of a wrapped gift given its appearance signal.
 
     This is the perceived value of a wrapped gift under PI; it may dip
-    slightly below the posterior mean and is deliberately not clipped.
+    slightly below the posterior mean and is deliberately not clipped. A
+    numpy array of signals gives the same floats element by element.
     """
     post = posterior(Prior(params.mu0, params.sigma0_sq), signal, params.sigma_a)
     return certainty_equivalent(post.mean, post.variance, params.rho_risk)

@@ -44,17 +44,17 @@ class StealLimits:
 STANDARD_LIMITS = StealLimits(1, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Open:
     gift: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Steal:
     victim: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Swap:
     partner: Optional[int]  # None = keep current gift
 
@@ -62,7 +62,7 @@ class Swap:
 Action = Union[Open, Steal]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActionRecord:
     """One logged move. ``position_in_chain`` is 0 for the primary turn and
     increments along a stealing chain; ``gift`` is the gift opened, stolen,

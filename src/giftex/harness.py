@@ -200,9 +200,10 @@ def play_game(
         assigned = (fixed_strategy,) * n
     by_seat = (None,) + assigned  # seat-indexed
 
-    rows = vm.values.tolist()
-    V = [None] + [[0.0] + row for row in rows]  # V[seat][gift]
-    total_sum = [0.0] + [sum(row) for row in rows]
+    padded = np.zeros((n + 1, n + 1))
+    padded[1:, 1:] = vm.values
+    V = padded.tolist()  # V[seat][gift], row and column 0 unused
+    total_sum = [sum(row) for row in V]
     # order[seat]: gift ids by descending value, for `best_target`'s walk.
     order = [None] + (np.argsort(-vm.values, axis=1) + 1).tolist()
 
@@ -211,14 +212,11 @@ def play_game(
     ad_on = Feature.AD in features
     bs_on = Feature.BS in features
 
-    signals = [0.0] + app.signals.tolist()
-    ce = [0.0] * (n + 1)
-    ce_wrapped_sum = 0.0
-    if pi_on:
-        for g in range(1, n + 1):
-            ce[g] = wrapped_gift_value(signals[g], params)
-        ce_wrapped_sum = sum(ce)
-    sel_vals = ce if pi_on else signals
+    # What a wrapped gift looks like: its certainty equivalent under PI, else
+    # its appearance signal (which only biased selection reads).
+    sel_vals = [0.0] + (wrapped_gift_value(app.signals, params) if pi_on
+                        else app.signals).tolist()
+    ce_wrapped_sum = sum(sel_vals) if pi_on else 0.0
     weights: Optional[list[float]] = None
     if bs_on:
         weights = [0.0] + selection_weights(sel_vals[1:], params.tau)
@@ -226,9 +224,9 @@ def play_game(
 
     # Steal history is read only by the SC cost, frustration only by the AD
     # gate, so each is kept only when its reader is on.
-    social = SocialState(n)
+    social = SocialState(n) if sc_on or ad_on else None
     sc_social = social if sc_on else None
-    frustration = social.frustration
+    frustration = social.frustration if ad_on else None
     opened_sum = np.zeros(n + 1)  # per seat, over opened gifts
 
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
@@ -272,7 +270,7 @@ def play_game(
             g = choose_open_gift(wrapped, weights, game_rng)
             opened_sum[1:] += vm.values.T[g - 1]
             if pi_on:
-                ce_wrapped_sum -= ce[g]
+                ce_wrapped_sum -= sel_vals[g]
             if bs_on:
                 wrapped_weight -= weights[g]
             return Open(g)
@@ -357,19 +355,18 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
     steals_total = 0
     chains_total = 0
     seat_sums = [0.0] * n
-    strat_sums = {s: 0.0 for s in STRATEGY_ORDER}
-    strat_counts = {s: 0 for s in STRATEGY_ORDER}
+    strat_cells = {s: [0.0, 0] for s in STRATEGY_ORDER}  # [value sum, seats]
     for game_index in range(config.games_per_condition):
         rng = game_rng(config.base_seed, condition.index, game_index)
         game = play_game(n, config.limits, model, condition.features, params, rng)
         steals_total += game.result.steal_count
         chains_total += sum(1 for c in game.result.chain_lengths if c > 0)
-        for seat in range(n):
-            value = game.seat_values[seat]
+        for seat, (value, strat) in enumerate(
+                zip(game.seat_values, game.strategies)):
             seat_sums[seat] += value
-            strat = game.strategies[seat]
-            strat_sums[strat] += value
-            strat_counts[strat] += 1
+            cell = strat_cells[strat]
+            cell[0] += value
+            cell[1] += 1
     games = config.games_per_condition
     return ConditionSummary(
         index=condition.index,
@@ -380,10 +377,9 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
         steals_per_game=steals_total / games,
         mean_chain_length=steals_total / chains_total if chains_total else 0.0,
         seat_means=tuple(s / games for s in seat_sums),
-        strategy_means={
-            s.value: (strat_sums[s] / strat_counts[s] if strat_counts[s] else 0.0)
-            for s in STRATEGY_ORDER},
-        strategy_counts={s.value: strat_counts[s] for s in STRATEGY_ORDER},
+        strategy_means={s.value: total / count if count else 0.0
+                        for s, (total, count) in strat_cells.items()},
+        strategy_counts={s.value: c for s, (_, c) in strat_cells.items()},
     )
 
 

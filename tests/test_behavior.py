@@ -182,7 +182,7 @@ def test_two_thefts_accumulate():
 
 def test_decay_floor_and_value():
     social = SocialState(3)
-    social.frustration[1] = 0.15
+    frustration_on_theft(social, 1, 0.15)  # decay visits raised seats only
     frustration_decay(social, 0.05)
     assert social.frustration[1] == pytest.approx(0.10)
     assert social.frustration[2] == 0.0  # floored, not negative
@@ -199,13 +199,21 @@ def test_theft_then_three_round_ends_returns_to_zero():
 @given(events=st.lists(st.tuples(st.booleans(), st.integers(1, 4)), max_size=60))
 @settings(max_examples=80)
 def test_frustration_stays_bounded(events):
-    """Property: any interleaving of thefts and decays keeps phi in [0,1]."""
+    """Property: any interleaving of thefts and decays keeps phi in [0,1],
+    and decaying the frustrated seats alone matches the loop over every
+    seat exactly."""
     social = SocialState(4)
+    reference = [0.0] * 5
     for is_theft, player in events:
         if is_theft:
             frustration_on_theft(social, player, 0.15)
+            reference[player] = min(1.0, reference[player] + 0.15)
         else:
             frustration_decay(social, 0.05)
+            for i in range(1, 5):
+                if reference[i] > 0.0:
+                    reference[i] = max(0.0, reference[i] - 0.05)
+        assert social.frustration == reference
         assert all(0.0 <= f <= 1.0 for f in social.frustration[1:])
 
 

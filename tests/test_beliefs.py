@@ -133,6 +133,17 @@ def test_with_pi_wrapped_gift_is_risk_adjusted_posterior():
         0.7040441176470588, abs=1e-9)
 
 
+def test_wrapped_gift_value_on_an_array_matches_each_signal():
+    """Play values the whole appearance vector in one call; each element
+    must be the float the scalar call gives."""
+    signals = np.concatenate([np.random.default_rng(4).normal(0.5, 0.5, 500),
+                              [0.0, 1.0, -0.0, 1e-300, -3.0, 4.0]])
+    for params in (BehaviorParams(), BehaviorParams(sigma_a=0.07, mu0=0.3,
+                                                    rho_risk=2.5)):
+        assert wrapped_gift_value(signals, params).tolist() == [
+            wrapped_gift_value(s, params) for s in signals.tolist()]
+
+
 def test_pi_reduces_to_full_information_in_the_noiseless_risk_free_limit():
     # All players value gifts exactly at quality; signals equal quality.
     n = 6

@@ -382,9 +382,10 @@ def change(log, i, **fields):
     lambda log: log.append(log[-1]),
     lambda log: log.insert(1, log[-1]),
     lambda log: log.insert(-1, log[0]),
+    lambda log: change(log, 1, action=Steal(log[1].action.gift)),
 ], ids=["actors-of-two-rounds-swapped", "wrong-round", "wrong-position",
         "empty-log", "swap-dropped", "one-record-too-many", "swap-in-mid-log",
-        "open-where-the-swap-is-due"])
+        "open-where-the-swap-is-due", "open-turned-steal"])
 def test_replay_rejects_a_log_no_game_writes(tamper):
     """Replay plays the log through the round loop, so every field of every
     record, the swap's place at the end and the log's length are checked."""

@@ -237,6 +237,19 @@ def test_extreme_weight_is_effectively_deterministic():
     assert all(choose_open_gift([7, 8], weights, rng) == 8 for _ in range(100))
 
 
+def test_weighted_choice_falls_back_to_the_last_gift():
+    """r = u * total can round up to the total itself; then no running sum
+    exceeds r, and the draw falls back to the pool's last gift."""
+    rng = np.random.default_rng(12)
+    assert {choose_open_gift([3, 4, 5], [0.0] * 6, rng)
+            for _ in range(20)} == {5}
+    # A one-unit subnormal total times any draw above 1/2 rounds back up to
+    # the total, so the zero-weight gift 9 is drawn about half the time.
+    weights = [0.0] * 8 + [5e-324, 0.0]
+    assert {choose_open_gift([7, 8, 9], weights, rng)
+            for _ in range(100)} == {8, 9}
+
+
 # -- legality fuzz --------------------------------------------------------------------
 
 @given(seed=st.integers(0, 5000))
