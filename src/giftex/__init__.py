@@ -14,14 +14,11 @@ from .behavior import (ALL_FEATURES, BehaviorParams, Feature, SocialState,
                        adaptive_prob_linear, feature_label, feature_set,
                        frustration_decay, frustration_on_theft,
                        selection_weights)
-from .beliefs import (Posterior, Prior, certainty_equivalent, posterior,
-                      wrapped_gift_value)
+from .beliefs import wrapped_gift_value
 from .counting import (UNLIMITED, brute_force_count, count_chains,
-                       count_trajectories, round_action_count,
-                       trajectory_count)
+                       count_trajectories, round_action_count)
 from .engine import (STANDARD_LIMITS, ActionRecord, GameResult, GameState,
-                     Open, Steal, StealLimits, Swap, initial_state, replay,
-                     run_game)
+                     Open, Steal, StealLimits, Swap, replay, run_game)
 from .errors import (ConfigurationError, GiftexError, IllegalMoveError,
                      PhaseError)
 from .harness import (Condition, ConditionSummary, ExperimentConfig,

@@ -15,57 +15,23 @@ CARA term alone; no separate additive penalty exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .behavior import BehaviorParams
-from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Prior:
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.variance <= 0:
-            raise ConfigurationError("prior variance must be positive")
-
-
-@dataclass(frozen=True)
-class Posterior:
-    mean: float
-    variance: float
-
-
-def posterior(prior: Prior, signal: float, signal_sd: float) -> Posterior:
-    """Conjugate Gaussian update from one appearance signal.
-
-    The posterior mean is the precision-weighted average of prior mean and
-    signal; the weight on the signal is sigma0^2 / (sigma0^2 + sigma_a^2).
-    """
-    if signal_sd <= 0:
-        raise ConfigurationError("signal noise must be positive")
-    s0, sa = prior.variance, signal_sd * signal_sd
-    omega = s0 / (s0 + sa)
-    mean = (1.0 - omega) * prior.mean + omega * signal
-    variance = s0 * sa / (s0 + sa)
-    return Posterior(mean=mean, variance=variance)
-
-
-def certainty_equivalent(mean: float, variance: float, risk_aversion: float) -> float:
-    """CARA certainty equivalent: mean - (risk/2) * variance."""
-    if variance < 0 or risk_aversion < 0:
-        raise ConfigurationError("variance and risk aversion must be non-negative")
-    return mean - 0.5 * risk_aversion * variance
 
 
 def wrapped_gift_value(signal: float, params: BehaviorParams) -> float:
     """Certainty equivalent of a wrapped gift given its appearance signal.
 
+    The posterior mean puts weight sigma0^2 / (sigma0^2 + sigma_a^2) on the
+    signal; the certainty equivalent subtracts rho/2 times the posterior
+    variance. `BehaviorParams` refuses non-positive variances, negative risk
+    aversion and non-finite values, so no guard is repeated here.
+
     This is the perceived value of a wrapped gift under PI; it may dip
     slightly below the posterior mean and is deliberately not clipped. A
     numpy array of signals gives the same floats element by element.
     """
-    post = posterior(Prior(params.mu0, params.sigma0_sq), signal, params.sigma_a)
-    return certainty_equivalent(post.mean, post.variance, params.rho_risk)
-
+    s0, sa = params.sigma0_sq, params.sigma_a * params.sigma_a
+    omega = s0 / (s0 + sa)
+    mean = (1.0 - omega) * params.mu0 + omega * signal
+    variance = s0 * sa / (s0 + sa)
+    return mean - 0.5 * params.rho_risk * variance

@@ -147,24 +147,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "experiment": _cmd_experiment,
+             "count": _cmd_count}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (GiftexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -65,12 +65,6 @@ def round_action_count(k: int) -> int:
     return a
 
 
-def trajectory_count(n: int) -> int:
-    """Closed form T(n) = n! * prod A(k) under standard rules."""
-    _check_count("player count", n, 1)
-    return _tree_product([factorial(n), *_action_counts(n)])
-
-
 def count_chains(profile: Profile, lifetime: int) -> dict[Profile, int]:
     """Count every nonempty stealing chain from a level profile.
 
@@ -101,16 +95,16 @@ def count_chains(profile: Profile, lifetime: int) -> dict[Profile, int]:
 def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
     """Exact trajectory count under a lifetime steal cap (0 = unlimited).
 
-    The unlimited branch is the closed form. Otherwise a round-by-round DP
-    over level profiles: from each reachable profile, either open immediately
-    or run any chain from `count_chains`, then add the opened gift on level
-    0. The final multiplication by n! restores which physical gift was opened
-    each round.
+    The unlimited branch is the closed form T(n) = n! * prod A(k). Otherwise
+    a round-by-round DP over level profiles: from each reachable profile,
+    either open immediately or run any chain from `count_chains`, then add
+    the opened gift on level 0. The final multiplication by n! restores which
+    physical gift was opened each round.
     """
     _check_count("player count", n, 1)
     _check_count("lifetime", lifetime, 0)
     if lifetime == UNLIMITED:
-        return trajectory_count(n)
+        return _tree_product([factorial(n), *_action_counts(n)])
     # A gift opened in round k can be stolen at most once in each later
     # round, so no cap above n - 1 binds; n - 1 itself still runs the DP.
     lifetime = min(lifetime, n - 1)

@@ -97,7 +97,10 @@ class GameState:
         "swap_pending", "concluded",
     )
 
-    def __init__(self, n: int, limits: StealLimits) -> None:
+    def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
+        """Fresh state: everything wrapped and unowned, round 1."""
+        if n < 1:
+            raise ConfigurationError("need at least one player")
         self.n = n
         self.limits = limits
         self.ownership: list[Optional[int]] = [None] * (n + 1)
@@ -208,13 +211,6 @@ DecideFn = Callable[[GameState, int, object], Action]
 SwapFn = Callable[[GameState, object], Optional[int]]
 
 
-def initial_state(n: int, limits: StealLimits = STANDARD_LIMITS) -> GameState:
-    """Fresh state: everything wrapped and unowned, round 1."""
-    if n < 1:
-        raise ConfigurationError("need at least one player")
-    return GameState(n, limits)
-
-
 def run_game(
     n: int,
     limits: StealLimits,
@@ -232,7 +228,7 @@ def run_game(
     the swap is declined. `on_round_end` is a bookkeeping hook (e.g. emotional
     decay) called after each round.
     """
-    state = initial_state(n, limits)
+    state = GameState(n, limits)
     chain_lengths: list[int] = []
     trajectory: list[ActionRecord] = []
     for k in range(1, n + 1):

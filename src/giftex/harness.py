@@ -383,11 +383,6 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
     )
 
 
-def _condition_worker(payload: tuple[Condition, ExperimentConfig]) -> ConditionSummary:
-    condition, config = payload
-    return run_condition(condition, config)
-
-
 def run_experiment(
     config: ExperimentConfig,
     jobs: int = 1,
@@ -407,8 +402,8 @@ def run_experiment(
     else:
         ctx = get_context("spawn")
         with ctx.Pool(workers) as pool:
-            summaries = pool.map(
-                _condition_worker, [(c, config) for c in conditions])
+            summaries = pool.starmap(
+                run_condition, [(c, config) for c in conditions])
     return sorted(summaries, key=lambda s: s.index)
 
 

@@ -16,14 +16,16 @@ values the tables' own arithmetic supports:
 
 import os
 import time
-from math import factorial
+from dataclasses import replace
+from math import factorial, prod
 
 import numpy as np
 import pytest
 
-from giftex.beliefs import Prior, certainty_equivalent, posterior
+from giftex.behavior import BehaviorParams
+from giftex.beliefs import wrapped_gift_value
 from giftex.counting import (UNLIMITED, brute_force_count, count_trajectories,
-                             round_action_count, trajectory_count)
+                             round_action_count)
 from giftex.engine import Open, Steal, StealLimits, Swap, replay
 from giftex.harness import (Condition, ExperimentConfig, compute_effects,
                             enumerate_conditions, export, game_rng, play_game,
@@ -46,15 +48,15 @@ def test_criterion_1_exact_combinatorics():
     start = time.perf_counter()
     assert tuple(round_action_count(k) for k in range(1, 9)) == \
         (1, 2, 5, 16, 65, 326, 1957, 13700)
-    assert [trajectory_count(n) for n in range(2, 6)] == \
+    assert [count_trajectories(n) for n in range(2, 6)] == \
         [4, 60, 3840, 1_248_000]
     # Routes beyond the closed form: T(6) by the brute-force oracle and the
     # non-binding-cap DP (test_counting.py checks the DP for n <= 10), T(7) by
     # the non-binding-cap DP (both in the test below); T(8) by the closed form
     # only. Engine enumeration (test_engine.py) reaches n <= 4.
-    assert trajectory_count(6) == 2_441_088_000
-    assert f"{trajectory_count(7):.3g}" == "3.34e+13"
-    assert f"{trajectory_count(8):.3g}" == "3.67e+18"
+    assert count_trajectories(6) == 2_441_088_000
+    assert f"{count_trajectories(7):.3g}" == "3.34e+13"
+    assert f"{count_trajectories(8):.3g}" == "3.67e+18"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"A(1..8) and T(2..8) exact in {elapsed * 1000:.1f} ms")
@@ -79,20 +81,20 @@ def test_criterion_1_inconsistent_reference_values():
     the closed form itself, so it is no check.)
     """
     t6 = factorial(6) * 3_390_400
-    assert trajectory_count(6) == t6, (
+    assert count_trajectories(6) == t6, (
         "T(6) = 6! * 3,390,400 = 2,441,088,000; the golden table's "
         "2,440,488,000 is not divisible by 720")
     assert brute_force_count(6, StealLimits(1, 0)) == t6, (
         "enumeration oracle disagrees with T(6) = 2,441,088,000")
     t7 = 33_440_464_512_000
     assert t7 == t6 * 7 * round_action_count(7)
-    assert trajectory_count(7) == t7, (
+    assert count_trajectories(7) == t7, (
         "T(7) = T(6) * 7 * A(7) = 3.34e13; the golden table's 3.31e13 matches "
         "neither value of T(6)")
     assert count_trajectories(7, 6) == t7, (
         "level-profile DP with a non-binding cap disagrees with T(7)")
     for n in (6, 7):
-        assert trajectory_count(n) % factorial(n) == 0, n
+        assert count_trajectories(n) % factorial(n) == 0, n
     report(1, "T(6) = 2,441,088,000 and T(7) = 33,440,464,512,000 confirmed "
               "by oracle and DP")
 
@@ -104,9 +106,10 @@ def test_criterion_1_inconsistent_reference_values():
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
     for n in (2, 3, 4, 5):
-        assert brute_force_count(n, StealLimits(1, 0)) == trajectory_count(n)
+        assert brute_force_count(n, StealLimits(1, 0)) == count_trajectories(n)
     for n in range(1, 9):
-        assert count_trajectories(n, UNLIMITED) == trajectory_count(n)
+        assert count_trajectories(n, UNLIMITED) == factorial(n) * \
+            prod(round_action_count(k) for k in range(1, n + 1))
     for n in range(1, 5):
         for lifetime in (1, 2, 3):
             assert count_trajectories(n, lifetime) == \
@@ -198,17 +201,27 @@ def test_criterion_4_engine_invariants_bulk():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_belief_math():
-    prior = Prior(mean=0.5, variance=0.25)
-    post = posterior(prior, signal=0.8, signal_sd=0.3)
-    assert post.mean == pytest.approx(0.7205882352941176, abs=1e-9)
-    assert post.variance == pytest.approx(0.0661764705882353, abs=1e-9)
-    ce = certainty_equivalent(post.mean, post.variance, 0.5)
+    # Prior N(0.5, 0.25), signal 0.8 with sd 0.3, risk aversion 0.5. With no
+    # risk aversion the certainty equivalent is the posterior mean; with a
+    # zero prior mean, a zero signal and risk aversion 2 it is minus the
+    # posterior variance, which does not depend on the signal.
+    params = BehaviorParams(mu0=0.5, sigma0_sq=0.25, sigma_a=0.3, rho_risk=0.5)
+    mean = wrapped_gift_value(0.8, replace(params, rho_risk=0.0))
+    variance = -wrapped_gift_value(0.0, replace(params, mu0=0.0, rho_risk=2.0))
+    assert mean == pytest.approx(0.7205882352941176, abs=1e-9)
+    assert variance == pytest.approx(0.0661764705882353, abs=1e-9)
+    ce = wrapped_gift_value(0.8, params)
     assert ce == pytest.approx(0.7040441176470588, abs=1e-9)
-    assert post.variance < min(prior.variance, 0.3 * 0.3)
-    assert ce <= post.mean
+    assert variance < min(params.sigma0_sq, 0.3 * 0.3)
+    assert ce <= mean
     for risk in (0.0, 0.25, 1.0, 3.0):
-        for var in (0.0, 0.1, 0.5):
-            assert certainty_equivalent(0.6, var, risk) <= 0.6
+        # posterior variances 0 (the signal variance underflows), 0.1 and 0.5
+        for sigma0_sq, sigma_a in ((0.25, 1e-200), (0.2, 0.2 ** 0.5),
+                                   (1.0, 1.0)):
+            p = BehaviorParams(mu0=0.6, sigma0_sq=sigma0_sq, sigma_a=sigma_a,
+                               rho_risk=risk)
+            assert wrapped_gift_value(0.6, p) <= \
+                wrapped_gift_value(0.6, replace(p, rho_risk=0.0))
     report(5, "posterior and certainty equivalent exact to 1e-9")
 
 

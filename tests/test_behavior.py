@@ -11,7 +11,7 @@ from giftex.behavior import (BehaviorParams, Feature, SocialState,
                              adaptive_prob_linear, feature_label, feature_set,
                              frustration_decay, frustration_on_theft,
                              selection_weights)
-from giftex.engine import initial_state
+from giftex.engine import GameState
 from giftex.errors import ConfigurationError
 from giftex.strategies import best_target
 
@@ -70,7 +70,7 @@ def nets(state, actor, values, own_value, social=None, params=PARAMS):
 def social_cost(social, thief, victim, params=PARAMS):
     """The SC cost `best_target` charges: with every gift worth 0 and the
     thief empty-handed, the net utility is minus the cost."""
-    state = initial_state(5)
+    state = GameState(5)
     for seat in (1, 2, 3):
         state.apply_open(seat, seat)
     return -nets(state, thief, [0.0] * 6, 0.0, social, params)[victim]
@@ -115,7 +115,7 @@ def test_social_cost_monotone_in_history_and_totals(h, n):
 # -- net utility ---------------------------------------------------------------
 
 def build_two_owner_state():
-    state = initial_state(4)
+    state = GameState(4)
     state.apply_open(1, 1)
     state.apply_open(2, 2)
     return state

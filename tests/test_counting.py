@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from giftex import counting
 from giftex.cli import main
 from giftex.counting import (UNLIMITED, brute_force_count, count_chains,
-                             count_trajectories, round_action_count,
-                             trajectory_count)
+                             count_trajectories, round_action_count)
 from giftex.engine import StealLimits
 
 A_GOLDEN = (1, 2, 5, 16, 65, 326, 1957, 13700)
@@ -67,12 +66,12 @@ def test_asymptotic_ratio_to_factorial_times_e():
 
 def test_trajectory_count_golden():
     for n, want in T_GOLDEN.items():
-        assert trajectory_count(n) == want
+        assert count_trajectories(n) == want
 
 
 def test_trajectory_count_is_divisible_by_n_factorial():
     for n in range(1, 12):
-        assert trajectory_count(n) % math.factorial(n) == 0
+        assert count_trajectories(n) % math.factorial(n) == 0
 
 
 def test_trajectory_count_with_swap(capsys):
@@ -80,14 +79,16 @@ def test_trajectory_count_with_swap(capsys):
     for n, expected in ((1, 1), (3, 180), (5, 6_240_000)):
         assert main(["count", "--players", str(n), "--with-swap"]) == 0
         assert capsys.readouterr().out.strip() == str(expected)
-        assert expected == n * trajectory_count(n)
+        assert expected == n * count_trajectories(n)
 
 
 # -- level-profile DP ---------------------------------------------------------
 
 def test_dp_unlimited_matches_closed_form():
+    # The unlimited branch is the closed form; rebuild it from A(k) here.
     for n in range(1, 9):
-        assert count_trajectories(n, UNLIMITED) == trajectory_count(n)
+        assert count_trajectories(n, UNLIMITED) == math.factorial(n) * \
+            math.prod(round_action_count(k) for k in range(1, n + 1))
 
 
 def test_dp_with_nonbinding_lifetime_matches_closed_form():
@@ -95,7 +96,7 @@ def test_dp_with_nonbinding_lifetime_matches_closed_form():
     # The DP's work grows fast with the cap: count_chains yields 0.8M chain
     # outcomes over the rounds of n = 10 and 4.8M over those of n = 11.
     for n in range(2, 11):
-        assert count_trajectories(n, n - 1) == trajectory_count(n)
+        assert count_trajectories(n, n - 1) == count_trajectories(n)
 
 
 def test_dp_clamps_a_cap_above_n_minus_one(monkeypatch):
@@ -109,7 +110,7 @@ def test_dp_clamps_a_cap_above_n_minus_one(monkeypatch):
 
     chains = counting.count_chains
     monkeypatch.setattr(counting, "count_chains", recording)
-    assert count_trajectories(5, 50) == trajectory_count(5)
+    assert count_trajectories(5, 50) == count_trajectories(5)
     assert lengths and max(lengths) <= 5
 
 
@@ -149,7 +150,7 @@ def test_dp_rejects_bad_arguments():
     lambda: count_trajectories(5.0, 2),  # used to escape as a TypeError
     lambda: count_trajectories(True),    # used to return 1
     lambda: count_trajectories(4, True),
-    lambda: trajectory_count(5.0),
+    lambda: count_trajectories(5.0),
     lambda: round_action_count(3.0),
     lambda: brute_force_count(3.0, StealLimits(1, 0)),
 ], ids=["lifetime-float", "n-float", "n-bool", "lifetime-bool",

@@ -399,8 +399,8 @@ def test_pool_never_outnumbers_the_conditions(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def starmap(self, fn, items):
+            return [fn(*item) for item in items]
 
     class Context:
         Pool = InProcessPool

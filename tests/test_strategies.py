@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giftex.behavior import BehaviorParams, SocialState, selection_weights
-from giftex.engine import Open, StealLimits, initial_state
+from giftex.engine import GameState, Open, StealLimits
 from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
                                choose_open_gift, decide)
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
@@ -38,12 +38,12 @@ def test_strategy_names_are_the_cli_identifiers():
 
 def test_best_target_none_without_owners():
     values = [0.0] * 4
-    assert best_target(initial_state(3), 1, values, by_value(values), 0.0,
+    assert best_target(GameState(3), 1, values, by_value(values), 0.0,
                        None, PARAMS) is None
 
 
 def test_best_target_takes_argmax():
-    state = initial_state(5)
+    state = GameState(5)
     for seat in range(1, 5):
         state.apply_open(seat, seat)
     values = [0.0, 0.1, 0.9, 0.0, 0.6, 0.0]  # indexed by gift
@@ -54,7 +54,7 @@ def test_best_target_takes_argmax():
 def test_best_target_tie_breaks_to_lowest_seat():
     # Seat 5 steals gift 3 from seat 3, who opens gift 5: seat 5's gift comes
     # first in opening order, and the equal net still goes to seat 3.
-    state = initial_state(6)
+    state = GameState(6)
     for seat in range(1, 5):
         state.apply_open(seat, seat)
     state.apply_steal(5, 3)
@@ -68,7 +68,7 @@ def test_best_target_walks_on_through_a_tie_at_the_bound():
     # Seat 5 holds gift 3 and seat 3 gift 5, both worth 0.7. Walking gift 3
     # first finds seat 5; gift 5's bound equals that net, so the walk goes on
     # and the lower seat 3 still wins, in either order of the tie.
-    state = initial_state(6)
+    state = GameState(6)
     for seat in range(1, 5):
         state.apply_open(seat, seat)
     state.apply_steal(5, 3)
@@ -125,7 +125,7 @@ def test_sorted_walk_matches_full_scan(kind, quantized):
         if quantized:
             values = np.round(values * 4) / 4
         V = [None] + [[0.0] + row for row in values.tolist()]
-        state = initial_state(n, StealLimits(1, trial % 3))
+        state = GameState(n, StealLimits(1, trial % 3))
         params = BehaviorParams(c0=float(rng.choice([0.0, 0.05, 0.25])),
                                 alpha=float(rng.choice([0.0, 2.0])),
                                 beta=float(rng.choice([0.0, 0.1])))
