@@ -140,7 +140,12 @@ def adaptive_prob_linear(
     p0: float, phase: float, frustration: float, satisfaction: float,
     lambda1: float, lambda2: float, lambda3: float,
 ) -> float:
-    """Clipped linear steal probability used by the simulation."""
+    """Clipped linear steal probability used by the simulation.
+
+    `satisfaction` is the actor's value of the gift it holds. Only an
+    empty-handed seat ever opens or steals (`apply_open` and `apply_steal`
+    refuse an actor holding a gift), so in a played game it is always 0.0
+    and the `lambda3` term never moves the gate."""
     p = p0 + lambda1 * phase + lambda2 * frustration - lambda3 * satisfaction
     return min(0.95, max(0.05, p))
 

@@ -99,6 +99,7 @@ class GameState:
 
     def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
         """Fresh state: everything wrapped and unowned, round 1."""
+        require_int("player count", n)
         if n < 1:
             raise ConfigurationError("need at least one player")
         self.n = n

@@ -390,7 +390,14 @@ def run_experiment(
 ) -> list[ConditionSummary]:
     """Run the factorial on at most `jobs` worker processes, never more than
     there are conditions; one runs in this process. Results are keyed by
-    condition index, so the output is identical for any `jobs` value."""
+    condition index, so the output is identical for any `jobs` value, and
+    so are the exported bytes.
+
+    Workers are forked from the caller: they start with its imported
+    modules, re-import nothing, and need no `if __name__ == "__main__":`
+    guard in the calling script. A pooled run therefore needs POSIX
+    `fork`, and should be started from a process that runs no other
+    threads; `jobs=1` runs without a pool on any platform."""
     require_int("jobs", jobs)
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -400,7 +407,7 @@ def run_experiment(
     if workers <= 1:
         summaries = [run_condition(c, config) for c in conditions]
     else:
-        ctx = get_context("spawn")
+        ctx = get_context("fork")
         with ctx.Pool(workers) as pool:
             summaries = pool.starmap(
                 run_condition, [(c, config) for c in conditions])

@@ -264,8 +264,8 @@ def test_unknown_flag_exits_two():
     assert err.value.code == 2
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "giftex", "count", "--players", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0 and proc.stdout.strip() == "3840"

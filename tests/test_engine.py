@@ -67,7 +67,7 @@ def test_initial_state_29_players():
 
 
 def test_initial_state_rejects_empty_game():
-    for n in (0, -1):
+    for n in (0, -1, 2.5, True, "3"):
         with pytest.raises(ConfigurationError):
             GameState(n)
 

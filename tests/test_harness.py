@@ -3,6 +3,12 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from giftex import harness
+from giftex import harness, strategies
 from giftex.behavior import BehaviorParams, Feature
 from giftex.engine import StealLimits
 from giftex.errors import ConfigurationError
@@ -246,6 +252,32 @@ def test_mean_chain_length_is_pooled_over_nonzero_chains():
     assert summary.mean_chain_length == pytest.approx(steals / chains)
 
 
+def test_every_decision_is_made_empty_handed(monkeypatch):
+    """`apply_open` and `apply_steal` refuse an actor holding a gift, so the
+    `own_value` a decision reads is 0.0 in every game played, and the AD
+    gate's satisfaction term never moves it."""
+    satisfactions, holdings = [], []
+    gate = harness.adaptive_prob_linear
+    scan = strategies.best_target
+
+    def recording_gate(p0, phase, frustration, satisfaction, *coefficients):
+        satisfactions.append(satisfaction)
+        return gate(p0, phase, frustration, satisfaction, *coefficients)
+
+    def recording_scan(state, actor, values, order, own_value, *rest):
+        holdings.append((state.ownership[actor], own_value))
+        return scan(state, actor, values, order, own_value, *rest)
+
+    monkeypatch.setattr(harness, "adaptive_prob_linear", recording_gate)
+    monkeypatch.setattr(strategies, "best_target", recording_scan)
+    for n in (2, 3, 7):
+        run_experiment(ExperimentConfig(n_players=n, games_per_condition=4,
+                                        base_seed=n))
+    assert satisfactions and holdings
+    assert set(satisfactions) == {0.0}
+    assert set(holdings) == {(None, 0.0)}
+
+
 def test_run_experiment_subset_matches_run_condition():
     conds = enumerate_conditions(SMALL)[:3]
     via_experiment = run_experiment(SMALL, jobs=1, conditions=conds)
@@ -405,12 +437,51 @@ def test_pool_never_outnumbers_the_conditions(monkeypatch):
     class Context:
         Pool = InProcessPool
 
-    monkeypatch.setattr(harness, "get_context", lambda method: Context())
+    methods = []
+
+    def get_context(method):
+        methods.append(method)
+        return Context()
+
+    monkeypatch.setattr(harness, "get_context", get_context)
     cfg = ExperimentConfig(n_players=4, games_per_condition=1, base_seed=3)
     conds = enumerate_conditions(cfg)[:2]
     got = run_experiment(cfg, jobs=64, conditions=conds)
     assert sizes == [2]
+    assert methods == ["fork"]
     assert got == run_experiment(cfg, jobs=1, conditions=conds)
+
+
+def test_pool_leaves_no_worker_running():
+    cfg = ExperimentConfig(n_players=4, games_per_condition=1, base_seed=3)
+    run_experiment(cfg, jobs=2, conditions=enumerate_conditions(cfg)[:2])
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_run_needs_no_main_guard(tmp_path, child_env):
+    """A script that calls the pool at top level, with no `__main__` guard,
+    runs once: forked workers do not import the script again."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""\
+        from giftex import ExperimentConfig, enumerate_conditions, run_experiment
+
+        config = ExperimentConfig(n_players=4, games_per_condition=1, base_seed=3)
+        summaries = run_experiment(config, jobs=2,
+                                   conditions=enumerate_conditions(config)[:2])
+        print("conditions", [s.index for s in summaries])
+        """))
+    # Its own session, so that a hung pool's workers can be killed with it.
+    proc = subprocess.Popen([sys.executable, str(script)], env=child_env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a pooled run from an unguarded script did not finish")
+    assert proc.returncode == 0, err
+    assert out.splitlines() == ["conditions [0, 1]"]
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 2.0, True, "2"])
