@@ -404,6 +404,42 @@ def test_export_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
 
 
+def game_line(game) -> str:
+    """One game's draws as text: every trajectory record, the strategies,
+    the steal count and each seat's value by `float.hex`."""
+    moves = ";".join(
+        f"{r.actor},{type(r.action).__name__},{r.round},"
+        f"{r.position_in_chain},{r.gift},"
+        f"{getattr(r.action, 'victim', getattr(r.action, 'partner', ''))}"
+        for r in game.result.trajectory)
+    strats = ",".join(s.value for s in game.strategies)
+    values = ",".join(v.hex() for v in game.seat_values)
+    return f"{moves}|{strats}|{game.result.steal_count}|{values}\n"
+
+
+def test_draws_are_pinned_across_all_48_conditions():
+    """Golden digest of per-game draws over the whole factorial: n = 2, 7
+    and 29 under lifetime caps 0, 1 and 2, plus one game per condition at
+    n = 120. The exports round to six digits and pin one size; this fails
+    on any change to a decision, a draw or a seat value's last bit."""
+    grid = [(n, cap, 5) for n in (2, 7, 29) for cap in (0, 1, 2)]
+    grid.append((120, 0, 1))
+    digest = hashlib.sha256()
+    for n, cap, games in grid:
+        cfg = ExperimentConfig(n_players=n, games_per_condition=games,
+                               base_seed=10 * n + cap,
+                               limits=StealLimits(1, cap))
+        for cond in enumerate_conditions(cfg):
+            model = cfg.model_for(cond.model_kind)
+            for idx in range(games):
+                game = play_game(n, cfg.limits, model, cond.features,
+                                 cfg.behavior,
+                                 game_rng(cfg.base_seed, cond.index, idx))
+                digest.update(game_line(game).encode())
+    assert digest.hexdigest() == (
+        "9342f68cb98ce519fd6a35b1ed69c152d0e0a3a2543075456f3927054802e045")
+
+
 def test_export_rejects_unknown_format(tmp_path):
     cfg, summaries = small_run()
     with pytest.raises(ValueError):
