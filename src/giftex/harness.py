@@ -33,7 +33,8 @@ from .beliefs import wrapped_gift_value
 from .engine import (STANDARD_LIMITS, GameResult, Open, Steal, StealLimits,
                      run_game)
 from .errors import ConfigurationError, require_int
-from .strategies import (STRATEGY_ORDER, Strategy, choose_open_gift,
+from .strategies import (ALWAYS_OPEN, EXPECTED_VALUE, MEAN_BASED,
+                         STRATEGY_ORDER, Strategy, choose_open_gift,
                          decide as strategy_decide)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                         ValuationModel, generate_appearance,
@@ -73,6 +74,13 @@ class ExperimentConfig:
             raise ConfigurationError("games_per_condition must be >= 1")
         if self.base_seed < 0:
             raise ConfigurationError("base_seed must be >= 0")
+        for key, kind in (("limits", StealLimits), ("behavior", BehaviorParams)):
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{key} must be a {kind.__name__}, got {value!r}")
+        for key in ("rho", "sigma_neg"):
+            _number(key, getattr(self, key))
         for kind in MODEL_ORDER:
             self.model_for(kind)  # validates rho and sigma_neg
 
@@ -177,6 +185,36 @@ class PlayedGame:
     appearance: AppearanceVector
 
 
+class _SeenSums:
+    """Each seat's sum of its own values over the opened gifts, for the
+    rules that read a mean. A seat's sum catches up over `opened_order` only
+    when the seat reads it, adding in opening order from 0.0: the same float
+    additions, in the same order, as a sum kept on every open."""
+
+    __slots__ = ("rows", "sums", "upto", "totals")
+
+    def __init__(self, rows: list[list[float]]) -> None:
+        self.rows = rows  # rows[seat][gift]
+        self.sums = [0.0] * len(rows)
+        self.upto = [0] * len(rows)  # how much of `opened_order` is summed
+        self.totals: list[Optional[float]] = [None] * len(rows)
+
+    def seen(self, seat: int, opened: list[int]) -> float:
+        """The seat's sum over the gifts in `opened`, the game's opening order."""
+        row, s = self.rows[seat], self.sums[seat]
+        for g in opened[self.upto[seat]:]:
+            s += row[g]
+        self.sums[seat], self.upto[seat] = s, len(opened)
+        return s
+
+    def unseen(self, seat: int, opened: list[int]) -> float:
+        """The seat's row sum, taken on first read, less `seen`."""
+        total = self.totals[seat]
+        if total is None:
+            total = self.totals[seat] = sum(self.rows[seat])
+        return total - self.seen(seat, opened)
+
+
 def play_game(
     n: int,
     limits: StealLimits,
@@ -203,7 +241,7 @@ def play_game(
     padded = np.zeros((n + 1, n + 1))
     padded[1:, 1:] = vm.values
     V = padded.tolist()  # V[seat][gift], row and column 0 unused
-    total_sum = [sum(row) for row in V]
+    seen = _SeenSums(V)
     # order[seat]: gift ids by descending value, for `best_target`'s walk.
     order = [None] + (np.argsort(-vm.values, axis=1) + 1).tolist()
 
@@ -227,36 +265,42 @@ def play_game(
     social = SocialState(n) if sc_on or ad_on else None
     sc_social = social if sc_on else None
     frustration = social.frustration if ad_on else None
-    opened_sum = np.zeros(n + 1)  # per seat, over opened gifts
 
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
+    threshold = params.threshold
     inv_n = 1.0 / n
 
+    # An actor is always empty-handed (`apply_open` and `apply_steal` refuse
+    # one holding a gift), so the value of its holding is the literal 0.0.
     def decide(st, actor, game_rng):
         nonlocal ce_wrapped_sum, wrapped_weight
-        v_row = V[actor]
-        own = st.ownership[actor]
-        own_value = v_row[own] if own is not None else 0.0
+        kind = by_seat[actor]
         wrapped = st.wrapped
         victim = None
-        # The AD gate's draw comes first (the exports pin the draw order);
-        # a closed gate opens without consulting the strategy.
-        if not ad_on or game_rng.random() < adaptive_prob_linear(
-                p0, st.round * inv_n, frustration[actor], own_value,
-                l1, l2, l3):
+        # The AD gate's draw comes first (the exports pin the draw order); a
+        # closed gate opens without consulting the strategy, and an
+        # always_open seat opens without scanning.
+        if (not ad_on or game_rng.random() < adaptive_prob_linear(
+                p0, st.round * inv_n, frustration[actor], 0.0, l1, l2, l3)
+                ) and kind is not ALWAYS_OPEN:
             # Through the module, where the benchmark's tracer wraps it.
-            best = strategies.best_target(st, actor, v_row, order[actor],
-                                          own_value, sc_social, params)
-            opened_count = len(st.opened_order)
-            seen_sum = float(opened_sum[actor])
-            opened_mean = seen_sum / opened_count if opened_count else 0.0
-            if pi_on:
-                wrapped_mean = ce_wrapped_sum / len(wrapped)
-            else:
-                wrapped_mean = (total_sum[actor] - seen_sum) / len(wrapped)
-            victim = strategy_decide(by_seat[actor], best, own_value,
-                                     opened_mean, wrapped_mean,
-                                     params.threshold, game_rng)
+            best = strategies.best_target(st, actor, V[actor], order[actor],
+                                          0.0, sc_social, params)
+            if best is not None:
+                # Each mean has one reader; a target implies an opened gift,
+                # and a decision always has a wrapped one.
+                opened_mean = wrapped_mean = 0.0
+                if kind is MEAN_BASED:
+                    opened = st.opened_order
+                    opened_mean = seen.seen(actor, opened) / len(opened)
+                elif kind is EXPECTED_VALUE:
+                    if pi_on:
+                        wrapped_mean = ce_wrapped_sum / len(wrapped)
+                    else:
+                        wrapped_mean = (seen.unseen(actor, st.opened_order)
+                                        / len(wrapped))
+                victim = strategy_decide(kind, best, 0.0, opened_mean,
+                                         wrapped_mean, threshold, game_rng)
         # Bookkeeping happens here because the engine either applies exactly
         # this action or aborts the game.
         if victim is None:
@@ -268,7 +312,6 @@ def play_game(
                     weights[gift] = w
                 wrapped_weight = 1.0
             g = choose_open_gift(wrapped, weights, game_rng)
-            opened_sum[1:] += vm.values.T[g - 1]
             if pi_on:
                 ce_wrapped_sum -= sel_vals[g]
             if bs_on:
@@ -355,7 +398,9 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
     steals_total = 0
     chains_total = 0
     seat_sums = [0.0] * n
-    strat_cells = {s: [0.0, 0] for s in STRATEGY_ORDER}  # [value sum, seats]
+    # [value sum, seats] per strategy, keyed by the member's value: a str
+    # hashes once and caches it, an enum member hashes in Python each time.
+    strat_cells = {s.value: [0.0, 0] for s in STRATEGY_ORDER}
     for game_index in range(config.games_per_condition):
         rng = game_rng(config.base_seed, condition.index, game_index)
         game = play_game(n, config.limits, model, condition.features, params, rng)
@@ -364,7 +409,7 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
         for seat, (value, strat) in enumerate(
                 zip(game.seat_values, game.strategies)):
             seat_sums[seat] += value
-            cell = strat_cells[strat]
+            cell = strat_cells[strat._value_]
             cell[0] += value
             cell[1] += 1
     games = config.games_per_condition
@@ -377,9 +422,9 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
         steals_per_game=steals_total / games,
         mean_chain_length=steals_total / chains_total if chains_total else 0.0,
         seat_means=tuple(s / games for s in seat_sums),
-        strategy_means={s.value: total / count if count else 0.0
+        strategy_means={s: total / count if count else 0.0
                         for s, (total, count) in strat_cells.items()},
-        strategy_counts={s.value: c for s, (_, c) in strat_cells.items()},
+        strategy_counts={s: c for s, (_, c) in strat_cells.items()},
     )
 
 
@@ -493,6 +538,8 @@ def export(
     (same fields plus a config echo and the effect blocks). Numbers carry six
     fractional digits, and the column order is fixed, so identical runs
     produce byte-identical files."""
+    if not summaries:
+        raise ValueError("no conditions to export")
     summaries = sorted(summaries, key=lambda s: s.index)
     destination = Path(destination)
     if fmt == "csv":

@@ -27,6 +27,11 @@ class Strategy(Enum):
 
 STRATEGY_ORDER = tuple(Strategy)
 
+# The members as module globals: on Python 3.11 a `Strategy.X` lookup goes
+# through the enum metaclass and costs about 200 ns, a global about 30 ns.
+(ALWAYS_OPEN, ALWAYS_STEAL, COIN_FLIP, MEAN_BASED, THRESHOLD,
+ EXPECTED_VALUE) = STRATEGY_ORDER
+
 
 def best_target(state, actor: int, values: Sequence[float],
                 order: Sequence[int], own_value: float, social,
@@ -101,20 +106,23 @@ def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
     """Steal-or-open decision for one strategy at one decision point, given
     the `best_target` winner: the victim seat to steal from, or None to open.
 
-    Only COIN_FLIP consumes randomness, and only when a target exists.
+    Each rule reads only its own inputs: MEAN_BASED reads `opened_mean`,
+    THRESHOLD `threshold`, EXPECTED_VALUE `wrapped_mean` and `own_value`;
+    whatever is passed for the rest is ignored. Only COIN_FLIP consumes
+    randomness, and only when a target exists.
     """
-    if best is None or kind is Strategy.ALWAYS_OPEN:
+    if best is None or kind is ALWAYS_OPEN:
         return None
     victim, net_utility, gift_value = best
-    if kind is Strategy.ALWAYS_STEAL:
+    if kind is ALWAYS_STEAL:
         steal = True
-    elif kind is Strategy.COIN_FLIP:
+    elif kind is COIN_FLIP:
         steal = rng.random() < 0.5
-    elif kind is Strategy.MEAN_BASED:
+    elif kind is MEAN_BASED:
         steal = gift_value > opened_mean
-    elif kind is Strategy.THRESHOLD:
+    elif kind is THRESHOLD:
         steal = net_utility > threshold
-    elif kind is Strategy.EXPECTED_VALUE:
+    elif kind is EXPECTED_VALUE:
         # Opening a random wrapped gift nets (pool mean - current holding);
         # steal wins only when its net beats that.
         steal = net_utility > wrapped_mean - own_value

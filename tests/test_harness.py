@@ -109,6 +109,21 @@ def test_config_constructor_rejects_non_integers(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"limits": (1, 0)},
+    {"behavior": {"c0": 1}},
+    {"rho": True},
+    {"rho": "0.7"},
+    {"sigma_neg": True},
+    {"sigma_neg": None},
+])
+def test_config_constructor_rejects_bad_field_types(kwargs):
+    # A tuple of limits or a dict of behavior used to construct and then
+    # fail in play with AttributeError; sigma_neg=True ran with sigma 1.
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_rejects_negative_seed():
     # numpy refuses negative seeds only once a game's generator is built,
     # which under --jobs is inside a worker; the record refuses them first.
@@ -278,6 +293,66 @@ def test_every_decision_is_made_empty_handed(monkeypatch):
     assert set(holdings) == {(None, 0.0)}
 
 
+def column_add_sums(values, opened):
+    """The per-seat sums `play_game` once kept by adding the opened gift's
+    value column to every seat on every open: the reference the lazily
+    caught-up sums must match bit for bit."""
+    opened_sum = np.zeros(values.shape[0] + 1)
+    for g in opened:
+        opened_sum[1:] += values.T[g - 1]
+    return opened_sum
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seen_sums_match_the_per_open_column_add(seed):
+    """Random opens, read by random seats at random times: each catch-up
+    must make the column add's floats exactly, and so must the row sum
+    less them. Magnitudes spread over six decades, so a changed order of
+    additions shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    values = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, n))
+    padded = np.zeros((n + 1, n + 1))
+    padded[1:, 1:] = values
+    rows = padded.tolist()
+    sums = harness._SeenSums(rows)
+    opened = []
+    for g in rng.permutation(n) + 1:
+        opened.append(int(g))
+        want = column_add_sums(values, opened)
+        for seat in rng.choice(n, size=int(rng.integers(0, 4)), replace=False):
+            seat = int(seat) + 1
+            assert sums.seen(seat, opened).hex() == float(want[seat]).hex()
+            assert sums.unseen(seat, opened).hex() == (
+                sum(rows[seat]) - float(want[seat])).hex()
+    for seat in range(1, n + 1):  # caught up from wherever it last read
+        assert sums.seen(seat, opened).hex() == float(want[seat]).hex()
+
+
+def test_always_open_seats_never_scan(monkeypatch):
+    scanned = []
+    scan = strategies.best_target
+
+    def recording_scan(state, actor, *rest):
+        scanned.append(actor)
+        return scan(state, actor, *rest)
+
+    monkeypatch.setattr(strategies, "best_target", recording_scan)
+    model = SMALL.model_for(ModelKind.INDEPENDENT)
+    for idx, features in enumerate((frozenset(), frozenset(Feature))):
+        scanned.clear()
+        game = play_game(29, SMALL.limits, model, features, SMALL.behavior,
+                         game_rng(7, 0, idx))
+        openers = {seat for seat, s in enumerate(game.strategies, 1)
+                   if s is Strategy.ALWAYS_OPEN}
+        assert openers and scanned
+        assert openers.isdisjoint(scanned)
+        scanned.clear()
+        play_game(8, SMALL.limits, model, features, SMALL.behavior,
+                  game_rng(7, 1, idx), fixed_strategy=Strategy.ALWAYS_OPEN)
+        assert scanned == []
+
+
 def test_run_experiment_subset_matches_run_condition():
     conds = enumerate_conditions(SMALL)[:3]
     via_experiment = run_experiment(SMALL, jobs=1, conditions=conds)
@@ -438,6 +513,16 @@ def test_draws_are_pinned_across_all_48_conditions():
                 digest.update(game_line(game).encode())
     assert digest.hexdigest() == (
         "9342f68cb98ce519fd6a35b1ed69c152d0e0a3a2543075456f3927054802e045")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_refuses_an_empty_run(tmp_path, fmt):
+    # run_experiment(config, conditions=[]) returns []; writing it used to
+    # die with IndexError on the CSV header's first row.
+    path = tmp_path / f"experiment.{fmt}"
+    with pytest.raises(ValueError, match="no conditions to export"):
+        export([], {}, fmt, path, config=SMALL)
+    assert not path.exists()
 
 
 def test_export_rejects_unknown_format(tmp_path):
