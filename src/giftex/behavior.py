@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_float
 
 
 class Feature(Enum):
@@ -82,8 +84,8 @@ class BehaviorParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name,
+                               require_float(f.name, getattr(self, f.name)))
         for name in ("c0", "alpha", "beta", "gamma", "gamma_prime", "p0",
                      "lambda1", "lambda2", "lambda3", "tau", "rho_risk",
                      "threshold"):
@@ -158,5 +160,11 @@ def selection_weights(values: Sequence[float], tau: float) -> list[float]:
         raise ConfigurationError("tau must be non-negative")
     top = max(values)
     ws = [math.exp(tau * (v - top)) for v in values]
-    total = sum(ws)
+    total = running_total(ws)
     return [w / total for w in ws]
+
+
+def running_total(xs: Iterable[float]) -> float:
+    """The left-to-right float total of `xs` from 0.0: the same bits on every
+    Python version, where builtin `sum` compensates its rounding from 3.12."""
+    return reduce(add, xs, 0.0)

@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the package, and the integer check that
-the config records and the counting functions share."""
+"""Exception hierarchy shared across the package, the integer check that
+the config records and the counting functions share, and the float check
+of the config records' numeric fields."""
+
+import math
 
 
 class GiftexError(Exception):
@@ -22,3 +25,17 @@ def require_int(name: str, value) -> None:
     """Refuse anything but an int; floats and bools are not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def require_float(name: str, value) -> float:
+    """`value` as a float if it is a finite int or float; bools, strings and
+    anything else are refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return value

@@ -28,11 +28,11 @@ from . import strategies
 from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        SocialState, adaptive_prob_linear, feature_label,
                        frustration_decay, frustration_on_theft,
-                       selection_weights)
+                       running_total, selection_weights)
 from .beliefs import wrapped_gift_value
 from .engine import (STANDARD_LIMITS, GameResult, Open, Steal, StealLimits,
                      run_game)
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, require_float, require_int
 from .strategies import (ALWAYS_OPEN, EXPECTED_VALUE, MEAN_BASED,
                          STRATEGY_ORDER, Strategy, choose_open_gift,
                          decide as strategy_decide)
@@ -80,7 +80,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{key} must be a {kind.__name__}, got {value!r}")
         for key in ("rho", "sigma_neg"):
-            _number(key, getattr(self, key))
+            object.__setattr__(self, key, require_float(key, getattr(self, key)))
         for kind in MODEL_ORDER:
             self.model_for(kind)  # validates rho and sigma_neg
 
@@ -108,15 +108,11 @@ class ExperimentConfig:
             kwargs["limits"] = StealLimits(**_section(
                 data["steal_limits"], "steal_limits", {"per_round", "lifetime"}))
         if "behavior" in data:
-            behavior = _section(data["behavior"], "behavior",
-                                {f.name for f in fields(BehaviorParams)})
-            kwargs["behavior"] = BehaviorParams(
-                **{k: _number(k, v) for k, v in behavior.items()})
+            kwargs["behavior"] = BehaviorParams(**_section(
+                data["behavior"], "behavior",
+                {f.name for f in fields(BehaviorParams)}))
         if "models" in data:
-            models = _section(data["models"], "models", {"rho", "sigma_neg"})
-            for key in ("rho", "sigma_neg"):
-                if key in models:
-                    kwargs[key] = _number(key, models[key])
+            kwargs.update(_section(data["models"], "models", {"rho", "sigma_neg"}))
         return cls(**kwargs)
 
 
@@ -128,14 +124,6 @@ def _section(value, name: str, allowed: set) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown {name} keys: {sorted(unknown)}")
     return value
-
-
-def _number(key: str, value) -> float:
-    """`value` as a float if it is an int or float; bools and strings are
-    refused. Finiteness is checked by the record the value goes into."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key} must be a number, got {value!r}")
-    return float(value)
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
@@ -191,10 +179,11 @@ class _SeenSums:
     when the seat reads it, adding in opening order from 0.0: the same float
     additions, in the same order, as a sum kept on every open."""
 
-    __slots__ = ("rows", "sums", "upto", "totals")
+    __slots__ = ("rows", "values", "sums", "upto", "totals")
 
-    def __init__(self, rows: list[list[float]]) -> None:
+    def __init__(self, rows: list[list[float]], values: np.ndarray) -> None:
         self.rows = rows  # rows[seat][gift]
+        self.values = values  # values[seat - 1, gift - 1]
         self.sums = [0.0] * len(rows)
         self.upto = [0] * len(rows)  # how much of `opened_order` is summed
         self.totals: list[Optional[float]] = [None] * len(rows)
@@ -211,7 +200,11 @@ class _SeenSums:
         """The seat's row sum, taken on first read, less `seen`."""
         total = self.totals[seat]
         if total is None:
-            total = self.totals[seat] = sum(self.rows[seat])
+            # Left to right, as `running_total` adds, but without a Python
+            # call per value: `add.accumulate` adds in order, where `sum`
+            # (numpy's pairwise, or builtin from Python 3.12) does not.
+            total = self.totals[seat] = float(
+                np.add.accumulate(self.values[seat - 1])[-1])
         return total - self.seen(seat, opened)
 
 
@@ -241,7 +234,7 @@ def play_game(
     padded = np.zeros((n + 1, n + 1))
     padded[1:, 1:] = vm.values
     V = padded.tolist()  # V[seat][gift], row and column 0 unused
-    seen = _SeenSums(V)
+    seen = _SeenSums(V, vm.values)
     # order[seat]: gift ids by descending value, for `best_target`'s walk.
     order = [None] + (np.argsort(-vm.values, axis=1) + 1).tolist()
 
@@ -254,7 +247,7 @@ def play_game(
     # its appearance signal (which only biased selection reads).
     sel_vals = [0.0] + (wrapped_gift_value(app.signals, params) if pi_on
                         else app.signals).tolist()
-    ce_wrapped_sum = sum(sel_vals) if pi_on else 0.0
+    ce_wrapped_sum = running_total(sel_vals) if pi_on else 0.0
     weights: Optional[list[float]] = None
     if bs_on:
         weights = [0.0] + selection_weights(sel_vals[1:], params.tau)

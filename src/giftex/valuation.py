@@ -15,13 +15,13 @@ entropy, so regeneration with the same seed is bit-identical.
 
 from __future__ import annotations
 
-import math
+import binascii
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_float
 
 
 class ModelKind(Enum):
@@ -39,10 +39,12 @@ class ValuationModel:
     sigma: float = 0.2
 
     def __post_init__(self) -> None:
+        for key in ("rho", "sigma"):
+            object.__setattr__(self, key, require_float(key, getattr(self, key)))
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must be in [0, 1], got {self.rho}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ConfigurationError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.sigma <= 0.0:
+            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
 
     @property
     def name(self) -> str:
@@ -63,8 +65,8 @@ class ValuationMatrix:
     def to_jsonable(self) -> dict:
         return {
             "model": self.model.name,
-            "values": self.values.round(9).tolist(),
-            "quality": self.quality.round(9).tolist(),
+            "values": _f8_block(self.values),
+            "quality": _f8_block(self.quality),
         }
 
 
@@ -76,7 +78,16 @@ class AppearanceVector:
     noise_sd: float
 
     def to_jsonable(self) -> dict:
-        return {"noise_sd": self.noise_sd, "signals": self.signals.round(9).tolist()}
+        return {"noise_sd": self.noise_sd, "signals": _f8_block(self.signals)}
+
+
+def _f8_block(arr: np.ndarray) -> dict:
+    """`arr` as JSON without loss: its little-endian float64 bytes in C
+    order, in base64, with its shape. `np.frombuffer` of the decoded bytes
+    as ``"<f8"``, reshaped to ``shape``, gives the array back bit for bit."""
+    raw = arr.astype("<f8", copy=False).tobytes()
+    return {"dtype": "<f8", "shape": list(arr.shape),
+            "base64": binascii.b2a_base64(raw, newline=False).decode("ascii")}
 
 
 def generate_valuations(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from giftex.behavior import (BehaviorParams, Feature, SocialState,
                              adaptive_prob_linear, feature_label, feature_set,
                              frustration_decay, frustration_on_theft,
-                             selection_weights)
+                             running_total, selection_weights)
 from giftex.engine import GameState
 from giftex.errors import ConfigurationError
 from giftex.strategies import best_target
@@ -39,6 +39,20 @@ def test_parameter_validation():
         BehaviorParams(c0=-0.1)
     with pytest.raises(ConfigurationError):
         BehaviorParams(sigma0_sq=0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(BehaviorParams)])
+@pytest.mark.parametrize("bad", [True, False, "1", None, [1.0], 10**400])
+def test_non_number_parameters_rejected(name, bad):
+    # A bool used to be taken as 0 or 1, and a string raised a bare TypeError.
+    with pytest.raises(ConfigurationError, match=name):
+        BehaviorParams(**{name: bad})
+
+
+def test_parameters_are_stored_as_floats():
+    params = BehaviorParams(c0=1, tau=2, mu0=0)
+    assert params == BehaviorParams(c0=1.0, tau=2.0, mu0=0.0)
+    assert all(type(getattr(params, f.name)) is float for f in fields(params))
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(BehaviorParams)])
@@ -257,6 +271,31 @@ def test_softmax_worked_example():
 def test_deterministic_at_huge_temperature():
     ws = selection_weights([0.2, 0.8, 0.5], 1e6)
     assert ws[1] == pytest.approx(1.0)
+
+
+# 1.0 + 1e-16 rounds back to 1.0, so adding left to right gives 1.0 while a
+# compensated sum (math.fsum, or builtin sum from Python 3.12) gives the next
+# float up.
+UNEVEN = [1.0, 1e-16, 1e-16]
+
+
+def test_running_total_adds_left_to_right():
+    assert math.fsum(UNEVEN) == 1.0000000000000002  # the orders differ here
+    assert running_total(UNEVEN) == 1.0
+    assert running_total(reversed(UNEVEN)) == 1.0000000000000002
+    assert running_total([]) == 0.0
+
+
+def test_selection_weights_total_left_to_right():
+    # Weights exp(v - top) of [1, 1e-16, 1e-16]: the total that divides them
+    # must not depend on the Python version's builtin sum.
+    values = [0.0, math.log(1e-16), math.log(1e-16)]
+    ws = [math.exp(v) for v in values]
+    total = 0.0
+    for w in ws:
+        total += w
+    assert total != math.fsum(ws)
+    assert selection_weights(values, 1.0) == [w / total for w in ws]
 
 
 def test_empty_pool_rejected():

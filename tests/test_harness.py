@@ -1,5 +1,6 @@
 """Experiment harness: conditions, per-game seeding, aggregation, export."""
 
+import binascii
 import hashlib
 import json
 import math
@@ -74,6 +75,19 @@ def test_config_file_defaults_and_overrides(tmp_path):
     assert cfg.rho == 0.9 and cfg.sigma_neg == 0.2
 
 
+def test_equal_configs_dump_the_same_bytes():
+    # An int used to be echoed as given by the constructor but as a float by
+    # `from_dict`, so two equal configs wrote different JSON.
+    built = ExperimentConfig(rho=1, sigma_neg=1, behavior=BehaviorParams(c0=1))
+    loaded = ExperimentConfig.from_dict(
+        {"models": {"rho": 1, "sigma_neg": 1}, "behavior": {"c0": 1}})
+    assert built == loaded == ExperimentConfig(
+        rho=1.0, sigma_neg=1.0, behavior=BehaviorParams(c0=1.0))
+    dump = json.dumps(built.to_dict(), sort_keys=True)
+    assert dump == json.dumps(loaded.to_dict(), sort_keys=True)
+    assert '"rho": 1.0' in dump and '"c0": 1.0' in dump
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"player_count": 5})
@@ -91,6 +105,10 @@ def test_config_rejects_unknown_keys():
     {"behavior": {"c0": math.nan}},
     {"behavior": {"tau": math.inf}},
     {"behavior": {"sigma_a": "0.3"}},
+    {"behavior": {"c0": True}},
+    {"behavior": {"tau": None}},
+    {"models": {"rho": False}},
+    {"models": {"sigma_neg": "0.2"}},
     {"models": {"sigma_neg": math.nan}},
     {"models": {"rho": math.inf}},
 ])
@@ -225,7 +243,15 @@ def test_biased_selection_at_large_temperature_stays_by_weight():
     assert opened == [int(g) + 1 for g in np.argsort(-signals)]
 
 
+def decode_block(block):
+    assert block["dtype"] == "<f8"
+    return np.frombuffer(binascii.a2b_base64(block["base64"]),
+                         "<f8").reshape(block["shape"])
+
+
 def test_game_trace_is_json_serializable():
+    """After a JSON round trip the trace's arrays decode to the game's own,
+    bit for bit, and its other fields read back the game."""
     cfg = SMALL
     model = cfg.model_for(ModelKind.NEGATIVE)
     game = play_game(8, cfg.limits, model, frozenset({Feature.BS}),
@@ -234,7 +260,29 @@ def test_game_trace_is_json_serializable():
     assert doc["players"] == 8
     assert len(doc["trajectory"]) == len(game.result.trajectory)
     assert doc["steal_count"] == game.result.steal_count
-    assert len(doc["valuations"]["values"]) == 8
+    assert doc["strategies"] == [s.value for s in game.strategies]
+    assert doc["valuations"]["model"] == "negative"
+    assert doc["appearance"]["noise_sd"] == cfg.behavior.sigma_a
+    for decoded, original in (
+            (doc["valuations"]["values"], game.valuations.values),
+            (doc["valuations"]["quality"], game.valuations.quality),
+            (doc["appearance"]["signals"], game.appearance.signals)):
+        decoded = decode_block(decoded)
+        assert decoded.dtype == original.dtype
+        assert decoded.shape == original.shape
+        assert decoded.tobytes() == original.tobytes()
+
+
+def test_game_trace_trajectory_is_pinned():
+    """The trajectory section of one n = 29 FULL game's trace (independent
+    model, condition 15, seed 42, game 0), as dumped before the arrays moved
+    to float64 blocks; only those arrays changed format."""
+    cfg = ExperimentConfig()
+    game = play_game(29, cfg.limits, cfg.model_for(ModelKind.INDEPENDENT),
+                     frozenset(Feature), cfg.behavior, game_rng(42, 15, 0))
+    trajectory = json.dumps(game_trace(game)["trajectory"]).encode()
+    assert hashlib.sha256(trajectory).hexdigest() == (
+        "374636c74de85771228e29daf3b55501396ef6f0ed91e6ee8838bdfe127162d1")
 
 
 # -- condition aggregation -----------------------------------------------------------
@@ -303,6 +351,22 @@ def column_add_sums(values, opened):
     return opened_sum
 
 
+def left_to_right(xs):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def test_unseen_row_total_adds_left_to_right():
+    # 1.0 + 1e-16 rounds back to 1.0; a compensated sum (math.fsum, or
+    # builtin sum from Python 3.12) keeps the two 1e-16 and ends a float up.
+    row = [0.0, 1.0, 1e-16, 1e-16]
+    assert left_to_right(row) != math.fsum(row)
+    sums = harness._SeenSums([[0.0] * 4, row], np.array([row[1:]]))
+    assert sums.unseen(1, []) == left_to_right(row)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_seen_sums_match_the_per_open_column_add(seed):
     """Random opens, read by random seats at random times: each catch-up
@@ -315,7 +379,7 @@ def test_seen_sums_match_the_per_open_column_add(seed):
     padded = np.zeros((n + 1, n + 1))
     padded[1:, 1:] = values
     rows = padded.tolist()
-    sums = harness._SeenSums(rows)
+    sums = harness._SeenSums(rows, values)
     opened = []
     for g in rng.permutation(n) + 1:
         opened.append(int(g))
@@ -324,7 +388,7 @@ def test_seen_sums_match_the_per_open_column_add(seed):
             seat = int(seat) + 1
             assert sums.seen(seat, opened).hex() == float(want[seat]).hex()
             assert sums.unseen(seat, opened).hex() == (
-                sum(rows[seat]) - float(want[seat])).hex()
+                left_to_right(rows[seat]) - float(want[seat])).hex()
     for seat in range(1, n + 1):  # caught up from wherever it last read
         assert sums.seen(seat, opened).hex() == float(want[seat]).hex()
 

@@ -1,5 +1,8 @@
 """Valuation model generation: distributions, clipping, camps, reproducibility."""
 
+import binascii
+import json
+
 import numpy as np
 import pytest
 
@@ -82,11 +85,14 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ConfigurationError):
         ValuationModel(ModelKind.CORRELATED, rho=1.5)
     for bad in ({"sigma": 0.0}, {"sigma": float("nan")}, {"sigma": float("inf")},
-                {"rho": float("nan")}):
+                {"rho": float("nan")}, {"rho": True}, {"rho": "0.7"},
+                {"sigma": None}, {"sigma": 10**400}):
         with pytest.raises(ConfigurationError):
             ValuationModel(ModelKind.NEGATIVE, **bad)
     with pytest.raises(ConfigurationError):
         generate_valuations(IND, 0, np.random.default_rng(0))
+    model = ValuationModel(ModelKind.CORRELATED, rho=1, sigma=2)
+    assert type(model.rho) is float and type(model.sigma) is float
 
 
 def test_same_seed_regenerates_identical_matrices():
@@ -123,10 +129,31 @@ def test_appearance_requires_positive_noise():
         generate_appearance(np.array([0.5]), 0.0, np.random.default_rng(0))
 
 
+def decode_block(block):
+    """An array dumped by `to_jsonable`: float64 bytes in base64 plus shape."""
+    assert block["dtype"] == "<f8"
+    raw = binascii.a2b_base64(block["base64"])
+    return np.frombuffer(raw, "<f8").reshape(block["shape"])
+
+
+def assert_same_array(decoded, original):
+    assert decoded.dtype == original.dtype and decoded.shape == original.shape
+    assert decoded.tobytes() == original.tobytes()  # bit for bit, -0.0 too
+
+
 def test_jsonable_round_trip_shapes():
-    vm = generate_valuations(IND, 6, np.random.default_rng(11))
-    d = vm.to_jsonable()
-    assert d["model"] == "independent"
-    assert len(d["values"]) == 6 and len(d["values"][0]) == 6
+    """The dumps decode to the arrays exactly, through a JSON round trip,
+    including values a rounded decimal would move and clipped ties."""
+    vm = generate_valuations(ValuationModel(ModelKind.CORRELATED, rho=0.9),
+                             6, np.random.default_rng(11))
+    vm.values[0, :2] = 1.0 / 3.0, 5e-324  # 9 decimals keep neither
+    assert (vm.values == 1.0).any()
+    d = json.loads(json.dumps(vm.to_jsonable()))
+    assert d["model"] == "correlated"
+    assert d["values"]["shape"] == [6, 6] and d["quality"]["shape"] == [6]
+    assert_same_array(decode_block(d["values"]), vm.values)
+    assert_same_array(decode_block(d["quality"]), vm.quality)
     app = generate_appearance(vm.quality, 0.3, np.random.default_rng(12))
-    assert len(app.to_jsonable()["signals"]) == 6
+    a = json.loads(json.dumps(app.to_jsonable()))
+    assert a["noise_sd"] == 0.3
+    assert_same_array(decode_block(a["signals"]), app.signals)
