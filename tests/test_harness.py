@@ -1,6 +1,5 @@
 """Experiment harness: conditions, per-game seeding, aggregation, export."""
 
-import binascii
 import hashlib
 import json
 import math
@@ -243,13 +242,7 @@ def test_biased_selection_at_large_temperature_stays_by_weight():
     assert opened == [int(g) + 1 for g in np.argsort(-signals)]
 
 
-def decode_block(block):
-    assert block["dtype"] == "<f8"
-    return np.frombuffer(binascii.a2b_base64(block["base64"]),
-                         "<f8").reshape(block["shape"])
-
-
-def test_game_trace_is_json_serializable():
+def test_game_trace_is_json_serializable(decode_block):
     """After a JSON round trip the trace's arrays decode to the game's own,
     bit for bit, and its other fields read back the game."""
     cfg = SMALL

@@ -1,6 +1,5 @@
 """Valuation model generation: distributions, clipping, camps, reproducibility."""
 
-import binascii
 import json
 
 import numpy as np
@@ -129,19 +128,12 @@ def test_appearance_requires_positive_noise():
         generate_appearance(np.array([0.5]), 0.0, np.random.default_rng(0))
 
 
-def decode_block(block):
-    """An array dumped by `to_jsonable`: float64 bytes in base64 plus shape."""
-    assert block["dtype"] == "<f8"
-    raw = binascii.a2b_base64(block["base64"])
-    return np.frombuffer(raw, "<f8").reshape(block["shape"])
-
-
 def assert_same_array(decoded, original):
     assert decoded.dtype == original.dtype and decoded.shape == original.shape
     assert decoded.tobytes() == original.tobytes()  # bit for bit, -0.0 too
 
 
-def test_jsonable_round_trip_shapes():
+def test_jsonable_round_trip_shapes(decode_block):
     """The dumps decode to the arrays exactly, through a JSON round trip,
     including values a rounded decimal would move and clipped ties."""
     vm = generate_valuations(ValuationModel(ModelKind.CORRELATED, rho=0.9),
