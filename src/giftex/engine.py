@@ -87,13 +87,16 @@ class GameState:
     chain_locked : gifts stolen in the current chain (cleared at chain end,
         which is also the round's end, so it doubles as the per-round cap)
     total_steals : per-gift lifetime steal counters
+    takeable : per-gift steal legality, kept by the transitions: True
+        exactly when the gift is opened, not chain-locked and under the
+        lifetime cap
     round : current round index, 1..n
     displaced : seat that must act next inside a chain, else None
     """
 
     __slots__ = (
         "n", "limits", "ownership", "holder", "wrapped", "opened_order",
-        "chain_locked", "total_steals", "round", "displaced",
+        "chain_locked", "total_steals", "takeable", "round", "displaced",
         "swap_pending", "concluded",
     )
 
@@ -110,6 +113,7 @@ class GameState:
         self.opened_order: list[int] = []
         self.chain_locked: set[int] = set()
         self.total_steals: list[int] = [0] * (n + 1)
+        self.takeable: list[bool] = [False] * (n + 1)
         self.round = 1
         self.displaced: Optional[int] = None
         self.swap_pending = False
@@ -118,13 +122,10 @@ class GameState:
     # -- queries ----------------------------------------------------------
 
     def stealable(self, gift: int) -> bool:
-        """True iff `gift` passes the chain lock and the lifetime cap.
-
-        `strategies.best_target`, the per-decision scan, inlines this rule.
-        """
-        lifetime = self.limits.lifetime
-        return gift not in self.chain_locked and not (
-            lifetime and self.total_steals[gift] >= lifetime)
+        """True iff `gift` is opened, not chain-locked and under the lifetime
+        cap: its `takeable` flag, which `strategies.best_target` reads too.
+        Only `apply_open` and `apply_steal` evaluate the rule."""
+        return self.takeable[gift]
 
     def legal_actions(self, actor: int) -> list[Action]:
         """Opens by gift id, then steals by seat: the exhaustive-play oracle."""
@@ -148,7 +149,15 @@ class GameState:
         self.holder[gift] = actor
         self.wrapped.remove(gift)
         self.opened_order.append(gift)
-        self.chain_locked.clear()  # every open ends the chain and the round
+        takeable = self.takeable
+        takeable[gift] = True  # never stolen, so under any cap
+        # Every open ends the chain and the round: its locks lift, and a
+        # locked gift is takeable again unless the steal used up its cap.
+        lifetime, total = self.limits.lifetime, self.total_steals
+        for g in self.chain_locked:
+            if not lifetime or total[g] < lifetime:
+                takeable[g] = True
+        self.chain_locked.clear()
         self.displaced = None
         if self.round == self.n:
             self.swap_pending = True
@@ -167,7 +176,7 @@ class GameState:
         gift = self.ownership[victim]
         if gift is None:
             raise IllegalMoveError(f"seat {victim} owns nothing to steal")
-        if not self.stealable(gift):
+        if not self.takeable[gift]:
             raise IllegalMoveError(f"gift {gift} is not stealable")
         if self.ownership[thief] is not None:
             raise IllegalMoveError(f"seat {thief} already holds a gift")
@@ -175,6 +184,7 @@ class GameState:
         self.holder[gift] = thief
         self.ownership[victim] = None
         self.chain_locked.add(gift)
+        self.takeable[gift] = False
         self.total_steals[gift] += 1
         self.displaced = victim
         return self

@@ -226,7 +226,7 @@ def play_game(
     app = generate_appearance(vm.quality, params.sigma_a, rng)
     if fixed_strategy is None:
         codes = rng.integers(0, len(STRATEGY_ORDER), size=n)
-        assigned = tuple(STRATEGY_ORDER[int(c)] for c in codes)
+        assigned = tuple(map(STRATEGY_ORDER.__getitem__, codes.tolist()))
     else:
         assigned = (fixed_strategy,) * n
     by_seat = (None,) + assigned  # seat-indexed
@@ -236,7 +236,7 @@ def play_game(
     V = padded.tolist()  # V[seat][gift], row and column 0 unused
     seen = _SeenSums(V, vm.values)
     # order[seat]: gift ids by descending value, for `best_target`'s walk.
-    order = [None] + (np.argsort(-vm.values, axis=1) + 1).tolist()
+    order = [None] + ((-vm.values).argsort(axis=1) + 1).tolist()
 
     pi_on = Feature.PI in features
     sc_on = Feature.SC in features
@@ -264,7 +264,7 @@ def play_game(
     inv_n = 1.0 / n
 
     # An actor is always empty-handed (`apply_open` and `apply_steal` refuse
-    # one holding a gift), so the value of its holding is the literal 0.0.
+    # one holding a gift), so the AD gate's satisfaction is the literal 0.0.
     def decide(st, actor, game_rng):
         nonlocal ce_wrapped_sum, wrapped_weight
         kind = by_seat[actor]
@@ -278,7 +278,7 @@ def play_game(
                 ) and kind is not ALWAYS_OPEN:
             # Through the module, where the benchmark's tracer wraps it.
             best = strategies.best_target(st, actor, V[actor], order[actor],
-                                          0.0, sc_social, params)
+                                          sc_social, params)
             if best is not None:
                 # Each mean has one reader; a target implies an opened gift,
                 # and a decision always has a wrapped one.
@@ -292,7 +292,7 @@ def play_game(
                     else:
                         wrapped_mean = (seen.unseen(actor, st.opened_order)
                                         / len(wrapped))
-                victim = strategy_decide(kind, best, 0.0, opened_mean,
+                victim = strategy_decide(kind, best, opened_mean,
                                          wrapped_mean, threshold, game_rng)
         # Bookkeeping happens here because the engine either applies exactly
         # this action or aborts the game.
@@ -398,7 +398,8 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
         rng = game_rng(config.base_seed, condition.index, game_index)
         game = play_game(n, config.limits, model, condition.features, params, rng)
         steals_total += game.result.steal_count
-        chains_total += sum(1 for c in game.result.chain_lengths if c > 0)
+        chains = game.result.chain_lengths
+        chains_total += len(chains) - chains.count(0)
         for seat, (value, strat) in enumerate(
                 zip(game.seat_values, game.strategies)):
             seat_sums[seat] += value

@@ -34,29 +34,29 @@ STRATEGY_ORDER = tuple(Strategy)
 
 
 def best_target(state, actor: int, values: Sequence[float],
-                order: Sequence[int], own_value: float, social,
+                order: Sequence[int], social,
                 params) -> Optional[tuple[int, float, float]]:
     """The steal `actor` values most, as (victim seat, net utility, gift
     value), or None when no opened gift may be stolen.
 
-    `values[g]` is the actor's true value of gift g, `order` the actor's gift
-    ids by descending value, and `own_value` the value of its holding, 0 when
-    empty-handed. The walk skips wrapped gifts, the actor's own, and every
-    gift `GameState.stealable` refuses (that rule, inlined: this is the hot
-    path). With `social` (SC on) the net also pays the social cost: norm
-    violation plus reputation, plus damage growing with prior steals from the
-    same victim. A strictly greater net wins; an equal net goes to the lower
-    seat.
+    `values[g]` is the actor's true value of gift g and `order` the actor's
+    gift ids by descending value. The walk skips the actor's own gift and
+    every gift whose `GameState.takeable` flag is off: wrapped, chain-locked
+    or at the lifetime cap. The net is the gift's value: a seat decides only
+    when empty-handed (`apply_open` and `apply_steal` refuse an actor holding
+    a gift), so no holding is given up. With `social` (SC on) the net also
+    pays the social cost: norm violation plus reputation, plus damage growing
+    with prior steals from the same victim. A strictly greater net wins; an
+    equal net goes to the lower seat.
 
-    The walk stops at the first gift whose bound `value - own_value -
-    base_cost` is below the best net so far. The bound holds in floats: the
-    repeat cost is >= 0 (`BehaviorParams` refuses negative c0, alpha and
-    beta), float subtraction is monotone in its subtrahend, and the values
-    only fall along `order`. On a bound equal to the best net the
-    walk goes on, since a lower seat may still tie.
+    The walk stops at the first gift whose bound `value - base_cost` is below
+    the best net so far. The bound holds in floats: the repeat cost is >= 0
+    (`BehaviorParams` refuses negative c0, alpha and beta), float subtraction
+    is monotone in its subtrahend, and the values only fall along `order`.
+    On a bound equal to the best net the walk goes on, since a lower seat
+    may still tie.
     """
-    holder, locked = state.holder, state.chain_locked
-    lifetime, total = state.limits.lifetime, state.total_steals
+    holder, takeable = state.holder, state.takeable
     base_cost = 0.0
     if social is not None:
         base_cost = params.c0 + params.beta * social.steals_committed[actor]
@@ -64,14 +64,15 @@ def best_target(state, actor: int, values: Sequence[float],
         h_row = social.history[actor]
     best_victim, best_net, best_value = 0, 0.0, 0.0  # seat 0: none yet
     for g in order:
+        if not takeable[g]:
+            continue
         victim = holder[g]
-        if (victim is None or victim == actor or g in locked
-                or (lifetime and total[g] >= lifetime)):
+        if victim == actor:
             continue
         value = values[g]
-        if best_victim and value - own_value - base_cost < best_net:
+        if best_victim and value - base_cost < best_net:
             break
-        net = value - own_value
+        net = value
         if social is not None:
             # Float addition is not associative; the exports pin this order.
             net -= base_cost + repeat_cost * h_row[victim]
@@ -101,15 +102,15 @@ def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
 
 
 def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
-           own_value: float, opened_mean: float, wrapped_mean: float,
-           threshold: float, rng) -> Optional[int]:
+           opened_mean: float, wrapped_mean: float, threshold: float,
+           rng) -> Optional[int]:
     """Steal-or-open decision for one strategy at one decision point, given
     the `best_target` winner: the victim seat to steal from, or None to open.
 
     Each rule reads only its own inputs: MEAN_BASED reads `opened_mean`,
-    THRESHOLD `threshold`, EXPECTED_VALUE `wrapped_mean` and `own_value`;
-    whatever is passed for the rest is ignored. Only COIN_FLIP consumes
-    randomness, and only when a target exists.
+    THRESHOLD `threshold`, EXPECTED_VALUE `wrapped_mean`; whatever is passed
+    for the rest is ignored. Only COIN_FLIP consumes randomness, and only
+    when a target exists.
     """
     if best is None or kind is ALWAYS_OPEN:
         return None
@@ -123,9 +124,9 @@ def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
     elif kind is THRESHOLD:
         steal = net_utility > threshold
     elif kind is EXPECTED_VALUE:
-        # Opening a random wrapped gift nets (pool mean - current holding);
-        # steal wins only when its net beats that.
-        steal = net_utility > wrapped_mean - own_value
+        # Opening a random wrapped gift nets the pool mean (the decider is
+        # empty-handed); steal wins only when its net beats that.
+        steal = net_utility > wrapped_mean
     else:
         raise ValueError(f"unknown strategy {kind!r}")
     return victim if steal else None

@@ -96,21 +96,25 @@ def generate_valuations(
     """Draw an n x n valuation matrix under `model`."""
     if n < 1:
         raise ConfigurationError("need at least one player")
+    # np.minimum(np.maximum(..)) clips as np.clip does, and np.add.reduce
+    # over n divides as `mean` does, each without the wrapper's overhead.
     if model.kind is ModelKind.INDEPENDENT:
         values = rng.random((n, n))
-        quality = values.mean(axis=0)
+        quality = np.add.reduce(values, 0) / n
     elif model.kind is ModelKind.CORRELATED:
         quality = rng.random(n)
         eps = rng.random((n, n))
         raw = model.rho * quality[None, :] + np.sqrt(1.0 - model.rho**2) * eps
-        values = np.clip(raw, 0.0, 1.0)
+        values = np.minimum(np.maximum(raw, 0.0), 1.0)
     else:
         quality = rng.random(n)
         noise = rng.normal(0.0, model.sigma, (n, n))
-        # Camp split by seat parity: even seats track quality, odd seats 1 - q.
-        seats = np.arange(1, n + 1)
-        base = np.where((seats % 2 == 0)[:, None], quality[None, :], 1.0 - quality[None, :])
-        values = np.clip(base + noise, 0.0, 1.0)
+        # Camp split by seat parity: even seats (rows 1, 3, ...) track
+        # quality, odd seats 1 - q.
+        base = np.empty((n, n))
+        base[1::2] = quality
+        base[0::2] = 1.0 - quality
+        values = np.minimum(np.maximum(base + noise, 0.0), 1.0)
     return ValuationMatrix(values=values, quality=quality, model=model)
 
 
@@ -120,5 +124,7 @@ def generate_appearance(
     """Draw clipped appearance signals ``a_j = clip(q_j + N(0, noise_sd^2))``."""
     if noise_sd <= 0.0:
         raise ConfigurationError(f"appearance noise must be positive, got {noise_sd}")
-    signals = np.clip(quality + rng.normal(0.0, noise_sd, quality.shape), 0.0, 1.0)
+    signals = np.minimum(
+        np.maximum(quality + rng.normal(0.0, noise_sd, quality.shape), 0.0),
+        1.0)
     return AppearanceVector(signals=signals, noise_sd=noise_sd)

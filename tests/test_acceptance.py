@@ -18,6 +18,7 @@ import os
 import time
 from dataclasses import replace
 from math import factorial, prod
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -171,12 +172,18 @@ def check_game(game, n, limits):
     assert {p: end.ownership[p] for p in range(1, n + 1)} == result.final_ownership
 
 
-def test_criterion_4_engine_invariants_bulk():
-    start = time.perf_counter()
+CRITERION_4_GAMES = 100_000
+# Games per pool task. Fixed, so that a game's index, and with it its
+# condition, size, limits and generator, never depends on the core count.
+CRITERION_4_CHUNK = 5_000
+
+
+def criterion_4_games(start, stop):
+    """Play and check games `start` to `stop` of criterion 4's sweep; each
+    game's condition, size and limits follow from its index alone."""
     config = ExperimentConfig()
     conditions = enumerate_conditions(config)
-    total_games = 100_000
-    for i in range(total_games):
+    for i in range(start, stop):
         cond = conditions[i % 48]
         n = 2 + (i * 7919) % 11  # 2..12
         limits = LIMIT_CHOICES[(i // 48) % len(LIMIT_CHOICES)]
@@ -184,7 +191,22 @@ def test_criterion_4_engine_invariants_bulk():
         game = play_game(n, limits, model, cond.features, config.behavior,
                          game_rng(1234, cond.index, i))
         check_game(game, n, limits)
+    return stop - start
+
+
+def test_criterion_4_engine_invariants_bulk():
+    start = time.perf_counter()
+    total_games = CRITERION_4_GAMES
+    chunks = [(lo, min(lo + CRITERION_4_CHUNK, total_games))
+              for lo in range(0, total_games, CRITERION_4_CHUNK)]
+    # Forked workers; a failed check raises in its worker, and `starmap`
+    # raises it again here.
+    with get_context("fork").Pool(min(os.cpu_count() or 1, 2)) as pool:
+        played = sum(pool.starmap(criterion_4_games, chunks))
+    assert played == total_games
     # a slice at full table size as well
+    config = ExperimentConfig()
+    conditions = enumerate_conditions(config)
     for i in range(96):
         cond = conditions[i % 48]
         model = config.model_for(cond.model_kind)

@@ -64,20 +64,14 @@ def test_non_finite_parameters_rejected(name, bad):
 
 # -- social cost --------------------------------------------------------------
 
-def nets(state, actor, values, own_value, social=None, params=PARAMS):
-    """victim -> net utility, as `best_target` reports each legal target when
-    every other opened gift is chain-locked."""
-    opened, locked = set(state.opened_order), state.chain_locked
+def nets(state, actor, values, social=None, params=PARAMS):
+    """victim -> net utility, as `best_target` reports each legal target
+    when its walk visits that gift alone."""
     out = {}
     for gift in state.opened_order:
-        if gift in locked:
-            continue
-        state.chain_locked = locked | (opened - {gift})
-        best = best_target(state, actor, values, by_value(values), own_value,
-                           social, params)
+        best = best_target(state, actor, values, [gift], social, params)
         if best is not None:
             out[best[0]] = best[1]
-    state.chain_locked = locked
     return out
 
 
@@ -87,7 +81,7 @@ def social_cost(social, thief, victim, params=PARAMS):
     state = GameState(5)
     for seat in (1, 2, 3):
         state.apply_open(seat, seat)
-    return -nets(state, thief, [0.0] * 6, 0.0, social, params)[victim]
+    return -nets(state, thief, [0.0] * 6, social, params)[victim]
 
 
 def test_first_steal_costs_base_awkwardness():
@@ -138,20 +132,19 @@ def build_two_owner_state():
 def test_net_utility_empty_handed_no_social_cost():
     state = build_two_owner_state()
     values = [0.0, 0.9, 0.4]  # indexed by gift
-    assert best_target(state, 3, values, by_value(values), 0.0, None,
+    assert best_target(state, 3, values, by_value(values), None,
                        PARAMS) == (1, pytest.approx(0.9), 0.9)
-    assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.9),
-                                           2: pytest.approx(0.4)}
+    assert nets(state, 3, values) == {1: pytest.approx(0.9),
+                                      2: pytest.approx(0.4)}
 
 
-def test_net_utility_is_value_difference():
+def test_net_utility_is_the_gift_value():
+    # A seat decides only when empty-handed, so it gives up no holding.
     state = build_two_owner_state()
     state.apply_steal(3, 1)   # seat 3 now holds gift 1
     state.apply_open(1, 3)    # chain ends
     values = [0.0, 0.4, 0.9, 0.1]
-    assert nets(state, 4, values, 0.0)[2] == pytest.approx(0.9 - 0.0)  # seat 4 holds nothing
-    # seat 3 holds gift 1, worth 0.4 to it
-    assert nets(state, 3, values, values[1])[2] == pytest.approx(0.9 - 0.4)
+    assert nets(state, 4, values)[2] == 0.9  # seat 4 holds nothing
 
 
 def test_net_utility_with_social_cost():
@@ -159,20 +152,20 @@ def test_net_utility_with_social_cost():
     state.apply_steal(3, 1)
     state.apply_open(1, 3)
     social = SocialState(4)
-    social.history[3][2] = 2
-    social.steals_committed[3] = 3
+    social.history[4][2] = 2
+    social.steals_committed[4] = 3
     values = [0.0, 0.4, 0.9, 0.1]
-    got = nets(state, 3, values, values[1], social)[2]
-    assert got == pytest.approx(0.9 - 0.4 - 0.55)
+    got = nets(state, 4, values, social)[2]  # seat 4 holds nothing
+    assert got == pytest.approx(0.9 - 0.55)
 
 
 def test_with_sc_disabled_cost_is_ignored():
     # SC off: the simulation passes no social state, so history never costs.
     state = build_two_owner_state()
     values = [0.0, 0.7, 0.7]
-    assert nets(state, 3, values, 0.0) == {1: pytest.approx(0.7),
-                                           2: pytest.approx(0.7)}
-    assert best_target(state, 3, values, by_value(values), 0.0, None,
+    assert nets(state, 3, values) == {1: pytest.approx(0.7),
+                                      2: pytest.approx(0.7)}
+    assert best_target(state, 3, values, by_value(values), None,
                        PARAMS)[0] == 1
 
 

@@ -128,17 +128,13 @@ def build_fixture(sigma_a=0.3, rho_risk=0.5):
 
 def target_values(state, actor, vm, params):
     """victim's gift -> the value a steal target carries, as `best_target`
-    reports it when every other opened gift is chain-locked (SC off)."""
+    reports it when its walk visits that gift alone (SC off)."""
     row = [0.0] + vm.values[actor - 1].tolist()
-    order = sorted(range(1, len(row)), key=row.__getitem__, reverse=True)
-    opened = set(state.opened_order)
     out = {}
     for gift in state.opened_order:
-        state.chain_locked = opened - {gift}
-        best = best_target(state, actor, row, order, 0.0, None, params)
+        best = best_target(state, actor, row, [gift], None, params)
         if best is not None:
             out[state.ownership[best[0]]] = best[2]
-    state.chain_locked = set()
     return out
 
 

@@ -37,8 +37,7 @@ def scan_takes(state, actor, gift):
     worth anything to it."""
     values = [0.0] * (state.n + 1)
     values[gift] = 1.0
-    best = best_target(state, actor, values, by_value(values), 0.0, None,
-                       None)
+    best = best_target(state, actor, values, by_value(values), None, None)
     return best is not None and best[0] == state.holder[gift]
 
 
@@ -62,8 +61,8 @@ def test_initial_state_29_players():
     assert s.round == 1
     assert sum(s.total_steals) == 0 and s.chain_locked == set()
     values = [0.0] * 30
-    assert best_target(s, 1, values, by_value(values), 0.0, None,
-                       None) is None
+    assert best_target(s, 1, values, by_value(values), None, None) is None
+    assert s.takeable == [False] * 30
 
 
 def test_initial_state_rejects_empty_game():
@@ -83,7 +82,9 @@ def test_bad_limits_rejected():
 def test_chain_locked_gift_not_stealable():
     s = GameState(3)
     s.apply_open(1, 1)
-    s.chain_locked.add(1)
+    s.apply_open(2, 2)
+    s.apply_steal(3, 1)
+    assert s.chain_locked == {1}
     assert not s.stealable(1)
 
 
@@ -109,18 +110,32 @@ def test_per_round_cap_blocks():
         assert s.stealable(1) and scan_takes(s, 4, 1)
 
 
-def test_lifetime_cap_blocks():
-    s = GameState(3, StealLimits(1, 3))
+def pass_gift_one(limits, steals):
+    """Seat 1 opens gift 1; in each of the next `steals` rounds the round's
+    seat steals gift 1 from its holder, who opens the lowest wrapped gift.
+    The state is left just after the last steal, before its open."""
+    s = GameState(steals + 2, limits)
     s.apply_open(1, 1)
-    s.total_steals[1] = 3
+    for k in range(2, steals + 2):
+        victim = s.holder[1]
+        s.apply_steal(k, victim)
+        if k < steals + 1:
+            s.apply_open(victim, s.wrapped[0])
+    return s
+
+
+def test_lifetime_cap_blocks():
+    s = pass_gift_one(StealLimits(1, 3), 3)
+    s.apply_open(s.displaced, s.wrapped[0])  # the chain lock lifts
+    assert s.total_steals[1] == 3
     assert not s.stealable(1)
 
 
 def test_zero_means_unlimited():
-    s = steal_then_open(0)
-    s.total_steals[1] = 99
+    s = pass_gift_one(StealLimits(0, 0), 4)
+    assert s.total_steals[1] == 4
     assert not s.stealable(1)  # a zero cap never lifts the chain lock
-    s.apply_open(1, 3)
+    s.apply_open(s.displaced, s.wrapped[0])
     assert s.stealable(1)
 
 
@@ -194,19 +209,12 @@ def test_terminal_open_enters_swap_phase():
 
 
 def test_chain_example_bookkeeping():
-    # Round 7 of a 10-player game: two owners, a length-2 chain, then an open.
+    # Round 7 of a 10-player game: seat 4 holds gift 3 and seat 2 gift 5,
+    # then a length-2 chain and an open.
     s = GameState(10)
-    for k, gift in zip(range(1, 7), (1, 2, 4, 7, 8, 9)):
-        s.apply_open(k, gift)
-    # rearrange so seat 4 holds gift 3 and seat 2 holds gift 5: simpler to
-    # construct directly via steals is convoluted; assign via fresh state.
-    s = GameState(10)
-    s.round = 7
-    for seat, gift in ((4, 3), (2, 5), (1, 1), (3, 2), (5, 4), (6, 7)):
-        s.ownership[seat] = gift
-        s.holder[gift] = seat
-        s.wrapped.remove(gift)
-        s.opened_order.append(gift)
+    for seat, gift in ((1, 1), (2, 5), (3, 2), (4, 3), (5, 4), (6, 7)):
+        s.apply_open(seat, gift)
+    assert s.round == 7
     s.apply_steal(7, 4)
     assert s.ownership[7] == 3 and s.ownership[4] is None
     assert s.chain_locked == {3} and s.total_steals[3] == 1

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from giftex import harness, strategies
 from giftex.behavior import BehaviorParams, Feature
-from giftex.engine import StealLimits
+from giftex.engine import GameState, StealLimits
 from giftex.errors import ConfigurationError
 from giftex.harness import (Condition, ConditionSummary, ExperimentConfig,
                             compute_effects, enumerate_conditions, export,
@@ -309,9 +309,9 @@ def test_mean_chain_length_is_pooled_over_nonzero_chains():
 
 
 def test_every_decision_is_made_empty_handed(monkeypatch):
-    """`apply_open` and `apply_steal` refuse an actor holding a gift, so the
-    `own_value` a decision reads is 0.0 in every game played, and the AD
-    gate's satisfaction term never moves it."""
+    """`apply_open` and `apply_steal` refuse an actor holding a gift, so
+    every seat that scans is empty-handed in every game played (the scan
+    takes no holding), and the AD gate's satisfaction term never moves it."""
     satisfactions, holdings = [], []
     gate = harness.adaptive_prob_linear
     scan = strategies.best_target
@@ -320,9 +320,9 @@ def test_every_decision_is_made_empty_handed(monkeypatch):
         satisfactions.append(satisfaction)
         return gate(p0, phase, frustration, satisfaction, *coefficients)
 
-    def recording_scan(state, actor, values, order, own_value, *rest):
-        holdings.append((state.ownership[actor], own_value))
-        return scan(state, actor, values, order, own_value, *rest)
+    def recording_scan(state, actor, *rest):
+        holdings.append(state.ownership[actor])
+        return scan(state, actor, *rest)
 
     monkeypatch.setattr(harness, "adaptive_prob_linear", recording_gate)
     monkeypatch.setattr(strategies, "best_target", recording_scan)
@@ -331,7 +331,44 @@ def test_every_decision_is_made_empty_handed(monkeypatch):
                                         base_seed=n))
     assert satisfactions and holdings
     assert set(satisfactions) == {0.0}
-    assert set(holdings) == {(None, 0.0)}
+    assert set(holdings) == {None}
+
+
+def test_takeable_flags_follow_every_transition(monkeypatch):
+    """After every transition of played games, each gift's `takeable` flag
+    is the steal rule recomputed from state: opened, not chain-locked and
+    under the lifetime cap. All 48 conditions, n = 2, 7 and 29, lifetime
+    caps 0 to 3."""
+    seen = {"transitions": 0, "locked": 0, "capped": 0}
+
+    def check(state):
+        lifetime, total = state.limits.lifetime, state.total_steals
+        rule = [False] + [
+            state.holder[g] is not None and g not in state.chain_locked
+            and not (lifetime and total[g] >= lifetime)
+            for g in range(1, state.n + 1)]
+        assert state.takeable == rule
+        seen["transitions"] += 1
+        seen["locked"] += len(state.chain_locked)
+        seen["capped"] += sum(lifetime > 0 and t >= lifetime for t in total)
+
+    for name in ("apply_open", "apply_steal", "final_swap"):
+        def checked(self, *args, _transition=getattr(GameState, name)):
+            _transition(self, *args)
+            check(self)
+            return self
+
+        monkeypatch.setattr(GameState, name, checked)
+    for n in (2, 7, 29):
+        for cap in range(4):
+            cfg = ExperimentConfig(n_players=n, games_per_condition=1,
+                                   base_seed=100 * n + cap,
+                                   limits=StealLimits(1, cap))
+            for cond in enumerate_conditions(cfg):
+                play_game(n, cfg.limits, cfg.model_for(cond.model_kind),
+                          cond.features, cfg.behavior,
+                          game_rng(cfg.base_seed, cond.index, 0))
+    assert seen["transitions"] and seen["locked"] and seen["capped"]
 
 
 def column_add_sums(values, opened):

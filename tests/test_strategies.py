@@ -12,10 +12,10 @@ from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
 
 
-def run(kind, best=None, opened_mean=0.5, wrapped_mean=0.5, own=0.0,
-        threshold=0.6, rng=None):
+def run(kind, best=None, opened_mean=0.5, wrapped_mean=0.5, threshold=0.6,
+        rng=None):
     """`decide` with the defaults these tests share: the victim or None."""
-    return decide(kind, best, own, opened_mean, wrapped_mean, threshold,
+    return decide(kind, best, opened_mean, wrapped_mean, threshold,
                   RNG if rng is None else rng)
 
 
@@ -38,8 +38,8 @@ def test_strategy_names_are_the_cli_identifiers():
 
 def test_best_target_none_without_owners():
     values = [0.0] * 4
-    assert best_target(GameState(3), 1, values, by_value(values), 0.0,
-                       None, PARAMS) is None
+    assert best_target(GameState(3), 1, values, by_value(values), None,
+                       PARAMS) is None
 
 
 def test_best_target_takes_argmax():
@@ -47,8 +47,8 @@ def test_best_target_takes_argmax():
     for seat in range(1, 5):
         state.apply_open(seat, seat)
     values = [0.0, 0.1, 0.9, 0.0, 0.6, 0.0]  # indexed by gift
-    assert best_target(state, 5, values, by_value(values), 0.4, None,
-                       PARAMS) == (2, pytest.approx(0.5), 0.9)
+    assert best_target(state, 5, values, by_value(values), None,
+                       PARAMS) == (2, 0.9, 0.9)
 
 
 def test_best_target_tie_breaks_to_lowest_seat():
@@ -60,7 +60,7 @@ def test_best_target_tie_breaks_to_lowest_seat():
     state.apply_steal(5, 3)
     state.apply_open(3, 5)
     values = [0.0, 0.1, 0.2, 0.7, 0.3, 0.7, 0.0]
-    assert best_target(state, 6, values, by_value(values), 0.0, None,
+    assert best_target(state, 6, values, by_value(values), None,
                        PARAMS) == (3, 0.7, 0.7)
 
 
@@ -75,13 +75,15 @@ def test_best_target_walks_on_through_a_tie_at_the_bound():
     state.apply_open(3, 5)
     values = [0.0, 0.1, 0.2, 0.7, 0.3, 0.7, 0.0]
     for order in ([3, 5, 4, 2, 1, 6], [5, 3, 4, 2, 1, 6]):
-        assert best_target(state, 6, values, order, 0.0, None,
+        assert best_target(state, 6, values, order, None,
                            PARAMS) == (3, 0.7, 0.7)
 
 
-def full_scan(state, actor, values, own_value, social, params):
+def full_scan(state, actor, values, social, params):
     """The reference scan: every opened gift, in opening order, no early
-    exit. `best_target` must return exactly what this returns."""
+    exit, legality recomputed from `holder`, `chain_locked` and
+    `total_steals` rather than read from the `takeable` flags.
+    `best_target` must return exactly what this returns."""
     holder, locked = state.holder, state.chain_locked
     lifetime, total = state.limits.lifetime, state.total_steals
     if social is not None:
@@ -95,7 +97,7 @@ def full_scan(state, actor, values, own_value, social, params):
                 or (lifetime and total[g] >= lifetime)):
             continue
         value = values[g]
-        net = value - own_value
+        net = value
         if social is not None:
             net -= base_cost + repeat_cost * h_row[victim]
         if (not best_victim or net > best_net
@@ -137,14 +139,12 @@ def test_sorted_walk_matches_full_scan(kind, quantized):
         while not state.swap_pending:
             for actor in range(1, n + 1):
                 row = V[actor]
-                own = state.ownership[actor]
-                own_value = row[own] if own is not None else 0.0
                 order = shuffled_order(row, rng)
                 ties += len(set(row[1:])) < n
                 for sc in (None, social):
-                    assert best_target(
-                        state, actor, row, order, own_value, sc, params
-                    ) == full_scan(state, actor, row, own_value, sc, params)
+                    assert best_target(state, actor, row, order, sc,
+                                       params) == full_scan(
+                        state, actor, row, sc, params)
             actor = state.round if state.displaced is None else state.displaced
             actions = state.legal_actions(actor)
             action = actions[int(rng.integers(0, len(actions)))]
@@ -199,9 +199,9 @@ def test_expected_value_compares_net_to_opening_net():
     # best net below the opening net: open
     assert run(Strategy.EXPECTED_VALUE, best=(2, 0.3, 0.3),
                wrapped_mean=0.5) is None
-    # holding something shifts the opening side down
-    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.3, 0.7),
-               wrapped_mean=0.5, own=0.4) == 2
+    # an equal net opens: the comparison is strict
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.5, 0.7),
+               wrapped_mean=0.5) is None
 
 
 # -- gift choice --------------------------------------------------------------------
