@@ -6,6 +6,9 @@ victim, who must act immediately; the resulting chain ends when somebody opens
 a wrapped gift, which also ends the round. After round n the first player may
 swap with any other player, then the game is over. `run_game` is the one
 round loop; `replay` checks a logged trajectory by playing it again through it.
+The loop logs each move as a plain tuple; `GameResult.trajectory` turns the
+log into `ActionRecord`s on first read, so play that never reads it builds
+none.
 
 State is mutated in place. A single game is strictly single-threaded; distinct
 games may run concurrently as long as each owns its state and random stream.
@@ -14,6 +17,10 @@ games may run concurrently as long as each owns its state and random stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import starmap
+from operator import attrgetter
+from threading import Lock
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (ConfigurationError, IllegalMoveError, PhaseError,
@@ -44,22 +51,39 @@ class StealLimits:
 STANDARD_LIMITS = StealLimits(1, 0)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Open:
     gift: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Steal:
     victim: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Swap:
     partner: Optional[int]  # None = keep current gift
 
 
 Action = Union[Open, Steal]
+
+# One Open(g) and one Steal(s) per id for the life of the process, indexed
+# by id. Games may share an instance only because actions are immutable. The
+# lists only grow, under the lock, so an index once filled never changes.
+_OPENS: list[Open] = []
+_STEALS: list[Steal] = []
+_GROW_ACTIONS = Lock()
+
+
+def shared_actions(n: int) -> tuple[Sequence[Open], Sequence[Steal]]:
+    """The shared `Open(g)` and `Steal(s)` tables, covering ids 0..n."""
+    if len(_OPENS) <= n:
+        with _GROW_ACTIONS:
+            for i in range(len(_OPENS), n + 1):
+                _STEALS.append(Steal(i))  # first: the check reads _OPENS
+                _OPENS.append(Open(i))
+    return _OPENS, _STEALS
 
 
 @dataclass(slots=True)
@@ -73,6 +97,10 @@ class ActionRecord:
     round: int
     position_in_chain: int
     gift: Optional[int]
+
+
+# A record's fields as one tuple: the form `run_game` logs a move in.
+_move_of = attrgetter(*(f.name for f in fields(ActionRecord)))
 
 
 class GameState:
@@ -208,14 +236,23 @@ class GameState:
 
 @dataclass(frozen=True)
 class GameResult:
-    """Outcome of a complete game plus a replayable action log."""
+    """Outcome of a complete game plus a replayable action log.
+
+    ``moves`` holds one ``(actor, action, round, position_in_chain, gift)``
+    tuple per move, the fields of `ActionRecord` in order.
+    """
 
     n: int
     limits: StealLimits
     final_ownership: dict[int, int]
-    trajectory: tuple[ActionRecord, ...]
+    moves: tuple[tuple, ...]
     steal_count: int
     chain_lengths: tuple[int, ...]
+
+    @cached_property
+    def trajectory(self) -> tuple[ActionRecord, ...]:
+        """The log as `ActionRecord`s, built on first read."""
+        return tuple(starmap(ActionRecord, self.moves))
 
 
 DecideFn = Callable[[GameState, int, object], Action]
@@ -241,22 +278,21 @@ def run_game(
     """
     state = GameState(n, limits)
     chain_lengths: list[int] = []
-    trajectory: list[ActionRecord] = []
+    moves: list[tuple] = []
     for k in range(1, n + 1):
         actor, position = k, 0
         while True:
             action = decide(state, actor, rng)
             if type(action) is Open:
                 state.apply_open(actor, action.gift)
-                trajectory.append(
-                    ActionRecord(actor, action, k, position, action.gift))
+                moves.append((actor, action, k, position, action.gift))
                 break
             if type(action) is not Steal:
                 raise IllegalMoveError(f"policy returned {action!r}")
             victim = action.victim
             gift = state.ownership[victim]
             state.apply_steal(actor, victim)
-            trajectory.append(ActionRecord(actor, action, k, position, gift))
+            moves.append((actor, action, k, position, gift))
             position += 1
             actor = victim
         assert position <= n - 1  # chain termination bound
@@ -266,13 +302,13 @@ def run_game(
     partner = swap(state, rng) if swap is not None else None
     state.final_swap(partner)
     received = state.ownership[1] if partner is not None else None
-    trajectory.append(ActionRecord(1, Swap(partner), n, 0, received))
+    moves.append((1, Swap(partner), n, 0, received))
     final = {p: state.ownership[p] for p in range(1, n + 1)}
     return GameResult(
         n=n,
         limits=limits,
         final_ownership=final,
-        trajectory=tuple(trajectory),
+        moves=tuple(moves),
         steal_count=sum(chain_lengths),
         chain_lengths=tuple(chain_lengths),
     )
@@ -304,15 +340,17 @@ def replay(
         end.append(state)
         return rec.action.partner
 
-    played = run_game(n, limits, decide, swap).trajectory
-    if played != log:
-        for i, (got, want) in enumerate(zip(log, played)):
+    played = run_game(n, limits, decide, swap).moves
+    logged = tuple(map(_move_of, log))
+    if logged != played:
+        for i, (got, want) in enumerate(zip(logged, played)):
             if got != want:
-                name = next(f.name for f in fields(ActionRecord)
-                            if getattr(got, f.name) != getattr(want, f.name))
+                name, have, logs = next(
+                    (f.name, a, b) for f, a, b in
+                    zip(fields(ActionRecord), got, want) if a != b)
                 raise IllegalMoveError(
-                    f"record {i} {got!r} names {name} {getattr(got, name)}, "
-                    f"the game logs {getattr(want, name)}")
+                    f"record {i} {log[i]!r} names {name} {have}, "
+                    f"the game logs {logs}")
         raise IllegalMoveError(
             f"the log has {len(log)} records, the game {len(played)}")
     return end[0]

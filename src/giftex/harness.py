@@ -30,8 +30,8 @@ from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        frustration_decay, frustration_on_theft,
                        running_total, selection_weights)
 from .beliefs import wrapped_gift_value
-from .engine import (STANDARD_LIMITS, GameResult, Open, Steal, StealLimits,
-                     run_game)
+from .engine import (STANDARD_LIMITS, GameResult, StealLimits, run_game,
+                     shared_actions)
 from .errors import ConfigurationError, require_float, require_int
 from .strategies import (ALWAYS_OPEN, EXPECTED_VALUE, MEAN_BASED,
                          STRATEGY_ORDER, Strategy, choose_open_gift,
@@ -262,6 +262,7 @@ def play_game(
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
     threshold = params.threshold
     inv_n = 1.0 / n
+    opens, steals = shared_actions(n)
 
     # An actor is always empty-handed (`apply_open` and `apply_steal` refuse
     # one holding a gift), so the AD gate's satisfaction is the literal 0.0.
@@ -309,12 +310,12 @@ def play_game(
                 ce_wrapped_sum -= sel_vals[g]
             if bs_on:
                 wrapped_weight -= weights[g]
-            return Open(g)
+            return opens[g]
         if sc_on:
             social.note_steal(actor, victim)
         if ad_on:
             frustration_on_theft(social, victim, params.gamma)
-        return Steal(victim)
+        return steals[victim]
 
     def swap(st, game_rng):
         # Seat 1 trades for its top-valued gift; strict improvement only.
@@ -342,14 +343,15 @@ def game_rng(base_seed: int, condition_index: int, game_index: int) -> np.random
 def game_trace(game: PlayedGame) -> dict:
     """JSON-serializable dump of one game: inputs, trajectory, outcome."""
     records = []
-    for rec in game.result.trajectory:
-        kind = type(rec.action).__name__.lower()
-        records.append({
-            "actor": rec.actor, "kind": kind, "round": rec.round,
-            "position_in_chain": rec.position_in_chain, "gift": rec.gift,
-            **({"victim": rec.action.victim} if kind == "steal" else {}),
-            **({"partner": rec.action.partner} if kind == "swap" else {}),
-        })
+    for actor, action, k, position, gift in game.result.moves:
+        kind = type(action).__name__.lower()
+        record = {"actor": actor, "kind": kind, "round": k,
+                  "position_in_chain": position, "gift": gift}
+        if kind == "steal":
+            record["victim"] = action.victim
+        elif kind == "swap":
+            record["partner"] = action.partner
+        records.append(record)
     return {
         "players": game.result.n,
         "valuations": game.valuations.to_jsonable(),

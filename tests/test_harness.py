@@ -9,16 +9,17 @@ import signal
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from giftex import harness, strategies
+from giftex import engine, harness, strategies
 from giftex.behavior import BehaviorParams, Feature
-from giftex.engine import GameState, StealLimits
+from giftex.engine import (ActionRecord, GameState, Open, Steal, StealLimits,
+                           Swap, replay)
 from giftex.errors import ConfigurationError
 from giftex.harness import (Condition, ConditionSummary, ExperimentConfig,
                             compute_effects, enumerate_conditions, export,
@@ -278,7 +279,77 @@ def test_game_trace_trajectory_is_pinned():
         "374636c74de85771228e29daf3b55501396ef6f0ed91e6ee8838bdfe127162d1")
 
 
+def test_a_trace_rebuilt_with_fresh_actions_replays():
+    """A trace read back from JSON, rebuilt with new action objects, replays:
+    replay compares actions by value, not by the play's shared instances."""
+    cfg = SMALL
+    game = play_game(8, cfg.limits, cfg.model_for(ModelKind.CORRELATED),
+                     frozenset(), cfg.behavior, game_rng(7, 16, 0),
+                     fixed_strategy=Strategy.ALWAYS_STEAL)
+    doc = json.loads(json.dumps(game_trace(game)))
+    make = {"open": lambda r: Open(r["gift"]),
+            "steal": lambda r: Steal(r["victim"]),
+            "swap": lambda r: Swap(r["partner"])}
+    log = [ActionRecord(r["actor"], make[r["kind"]](r), r["round"],
+                        r["position_in_chain"], r["gift"])
+           for r in doc["trajectory"]]
+    assert log == list(game.result.trajectory)
+    assert {type(rec.action) for rec in log} == {Open, Steal, Swap}
+    assert not any(rec.action is move[1]
+                   for rec, move in zip(log, game.result.moves))
+    end = replay(8, cfg.limits, log)
+    assert end.ownership[1:] == [game.result.final_ownership[seat]
+                                 for seat in range(1, 9)]
+
+
 # -- condition aggregation -----------------------------------------------------------
+
+def test_run_condition_builds_no_action_record(monkeypatch):
+    """Play logs moves as tuples; records are built only when the trajectory
+    is read, once per game."""
+    built = []
+
+    class CountingRecord(ActionRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "ActionRecord", CountingRecord)
+    run_condition(Condition(16, ModelKind.CORRELATED, frozenset()), SMALL)
+    assert built == []
+    game = play_game(8, SMALL.limits, SMALL.model_for(ModelKind.CORRELATED),
+                     frozenset(), SMALL.behavior, game_rng(7, 16, 0))
+    first = game.result.trajectory
+    assert game.result.trajectory is first
+    assert len(built) == len(game.result.moves)
+    assert all(type(rec) is CountingRecord for rec in first)
+    assert [tuple(getattr(rec, f.name) for f in fields(ActionRecord))
+            for rec in first] == list(game.result.moves)
+
+
+def test_play_hands_out_one_frozen_action_per_id():
+    """Every game of a process returns the same immutable Open(g) and
+    Steal(s) objects, equal to freshly built ones."""
+    def actions(game_index):
+        game = play_game(8, SMALL.limits, SMALL.model_for(ModelKind.CORRELATED),
+                         frozenset(), SMALL.behavior, game_rng(7, 16, game_index),
+                         fixed_strategy=Strategy.COIN_FLIP)
+        return {(type(a), a): a for _, a, *_ in game.result.moves[:-1]}
+
+    first, second = actions(0), actions(1)
+    shared = first.keys() & second.keys()
+    assert {kind for kind, _ in shared} == {Open, Steal}
+    for key in shared:
+        assert first[key] is second[key]
+    for action in first.values():
+        name = "gift" if type(action) is Open else "victim"
+        fresh = type(action)(getattr(action, name))
+        assert action == fresh and hash(action) == hash(fresh)
+        with pytest.raises(FrozenInstanceError):
+            setattr(action, name, 1)
+    with pytest.raises(FrozenInstanceError):
+        Swap(2).partner = 3
+
 
 def test_condition_summary_consistency():
     """Two aggregation routes must meet: sum over strategies of (count*mean)
