@@ -52,15 +52,9 @@ def _tree_product(factors: list[int]) -> int:
     return factors[0]
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    require_int(name, value)
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
 def round_action_count(k: int) -> int:
     """A(k): action patterns in round k (chain structures, gift choice aside)."""
-    _check_count("round index", k, 1)
+    require_int("round index", k, 1)
     *_, a = _action_counts(k)
     return a
 
@@ -101,8 +95,8 @@ def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
     the opened gift on level 0. The final multiplication by n! restores which
     physical gift was opened each round.
     """
-    _check_count("player count", n, 1)
-    _check_count("lifetime", lifetime, 0)
+    require_int("player count", n, 1)
+    require_int("lifetime", lifetime, 0)
     if lifetime == UNLIMITED:
         return _tree_product([factorial(n), *_action_counts(n)])
     # A gift opened in round k can be stolen at most once in each later
@@ -133,7 +127,7 @@ def brute_force_count(n: int, limits: StealLimits) -> int:
     interchangeable until stolen. Knows nothing of the closed form or the
     profile DP. Guarded to n <= 6 against combinatorial explosion.
     """
-    _check_count("player count", n, 1)
+    require_int("player count", n, 1)
     if n > _BRUTE_FORCE_MAX:
         raise ValueError(
             f"brute force enumeration is limited to n <= {_BRUTE_FORCE_MAX} (got {n})"

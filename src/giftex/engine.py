@@ -17,14 +17,12 @@ games may run concurrently as long as each owns its state and random stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import starmap
 from operator import attrgetter
-from threading import Lock
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import (ConfigurationError, IllegalMoveError, PhaseError,
-                     require_int)
+from .errors import IllegalMoveError, PhaseError, require_int
 
 
 @dataclass(frozen=True)
@@ -42,48 +40,37 @@ class StealLimits:
     lifetime: int = 0
 
     def __post_init__(self) -> None:
-        require_int("per_round", self.per_round)
-        require_int("lifetime", self.lifetime)
-        if self.per_round < 0 or self.lifetime < 0:
-            raise ConfigurationError("steal limits must be non-negative")
+        require_int("per_round", self.per_round, 0)
+        require_int("lifetime", self.lifetime, 0)
 
 
 STANDARD_LIMITS = StealLimits(1, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Open:
     gift: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Steal:
     victim: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Swap:
     partner: Optional[int]  # None = keep current gift
 
 
 Action = Union[Open, Steal]
 
-# One Open(g) and one Steal(s) per id for the life of the process, indexed
-# by id. Games may share an instance only because actions are immutable. The
-# lists only grow, under the lock, so an index once filled never changes.
-_OPENS: list[Open] = []
-_STEALS: list[Steal] = []
-_GROW_ACTIONS = Lock()
 
-
-def shared_actions(n: int) -> tuple[Sequence[Open], Sequence[Steal]]:
-    """The shared `Open(g)` and `Steal(s)` tables, covering ids 0..n."""
-    if len(_OPENS) <= n:
-        with _GROW_ACTIONS:
-            for i in range(len(_OPENS), n + 1):
-                _STEALS.append(Steal(i))  # first: the check reads _OPENS
-                _OPENS.append(Open(i))
-    return _OPENS, _STEALS
+@cache
+def shared_actions(n: int) -> tuple[tuple[Open, ...], tuple[Steal, ...]]:
+    """One `Open(g)` and one `Steal(s)` per id 0..n, indexed by id, shared by
+    every game of `n` players in the process. Sharing is safe only because
+    actions are immutable; two racing first calls build equal tables."""
+    return tuple(map(Open, range(n + 1))), tuple(map(Steal, range(n + 1)))
 
 
 @dataclass(slots=True)
@@ -130,9 +117,7 @@ class GameState:
 
     def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
         """Fresh state: everything wrapped and unowned, round 1."""
-        require_int("player count", n)
-        if n < 1:
-            raise ConfigurationError("need at least one player")
+        require_int("player count", n, 1)
         self.n = n
         self.limits = limits
         self.ownership: list[Optional[int]] = [None] * (n + 1)
@@ -169,8 +154,9 @@ class GameState:
         """Open `gift`, ending the current chain and the round."""
         if self.swap_pending or self.concluded:
             raise PhaseError("cannot open after the last round")
-        if not 1 <= gift <= self.n or self.holder[gift] is not None:
-            raise IllegalMoveError(f"gift {gift} is not available to open")
+        if (type(gift) is not int or not 1 <= gift <= self.n
+                or self.holder[gift] is not None):
+            raise IllegalMoveError(f"gift {gift!r} is not available to open")
         if self.ownership[actor] is not None:
             raise IllegalMoveError(f"seat {actor} already holds a gift")
         self.ownership[actor] = gift
@@ -199,8 +185,8 @@ class GameState:
             raise PhaseError("cannot steal after the last round")
         if victim == thief:
             raise IllegalMoveError("cannot steal from yourself")
-        if not 1 <= victim <= self.n:
-            raise IllegalMoveError(f"no such seat {victim}")
+        if type(victim) is not int or not 1 <= victim <= self.n:
+            raise IllegalMoveError(f"no such seat {victim!r}")
         gift = self.ownership[victim]
         if gift is None:
             raise IllegalMoveError(f"seat {victim} owns nothing to steal")
@@ -224,8 +210,9 @@ class GameState:
         if not self.swap_pending:
             raise PhaseError("final swap is only available after round n")
         if partner is not None:
-            if partner == 1 or not 1 <= partner <= self.n:
-                raise IllegalMoveError(f"invalid swap partner {partner}")
+            if (type(partner) is not int or partner == 1
+                    or not 1 <= partner <= self.n):
+                raise IllegalMoveError(f"invalid swap partner {partner!r}")
             g1, gm = self.ownership[1], self.ownership[partner]
             self.ownership[1], self.ownership[partner] = gm, g1
             self.holder[gm], self.holder[g1] = 1, partner
@@ -290,9 +277,8 @@ def run_game(
             if type(action) is not Steal:
                 raise IllegalMoveError(f"policy returned {action!r}")
             victim = action.victim
-            gift = state.ownership[victim]
             state.apply_steal(actor, victim)
-            moves.append((actor, action, k, position, gift))
+            moves.append((actor, action, k, position, state.ownership[actor]))
             position += 1
             actor = victim
         assert position <= n - 1  # chain termination bound

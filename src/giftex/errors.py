@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the integer check that
-the config records and the counting functions share, and the float check
+"""Exception hierarchy shared across the package, the bounded-count check
+that every integer count of the package goes through, and the float check
 of the config records' numeric fields."""
 
 import math
@@ -21,10 +21,13 @@ class PhaseError(GiftexError):
     """An operation was invoked in the wrong game phase."""
 
 
-def require_int(name: str, value) -> None:
-    """Refuse anything but an int; floats and bools are not truncated."""
+def require_int(name: str, value, minimum: int) -> None:
+    """Refuse anything but an int of at least `minimum`; floats and bools
+    are not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def require_float(name: str, value) -> float:

@@ -66,14 +66,9 @@ class ExperimentConfig:
     sigma_neg: float = 0.2  # negative-model noise sd
 
     def __post_init__(self) -> None:
-        for key in ("n_players", "games_per_condition", "base_seed"):
-            require_int(key, getattr(self, key))
-        if self.n_players < 1:
-            raise ConfigurationError("n_players must be >= 1")
-        if self.games_per_condition < 1:
-            raise ConfigurationError("games_per_condition must be >= 1")
-        if self.base_seed < 0:
-            raise ConfigurationError("base_seed must be >= 0")
+        for key, minimum in (("n_players", 1), ("games_per_condition", 1),
+                             ("base_seed", 0)):
+            require_int(key, getattr(self, key), minimum)
         for key, kind in (("limits", StealLimits), ("behavior", BehaviorParams)):
             value = getattr(self, key)
             if not isinstance(value, kind):
@@ -439,9 +434,7 @@ def run_experiment(
     guard in the calling script. A pooled run therefore needs POSIX
     `fork`, and should be started from a process that runs no other
     threads; `jobs=1` runs without a pool on any platform."""
-    require_int("jobs", jobs)
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    require_int("jobs", jobs, 1)
     if conditions is None:
         conditions = enumerate_conditions(config)
     workers = min(jobs, len(conditions))

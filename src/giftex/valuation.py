@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, require_float
+from .errors import ConfigurationError, require_float, require_int
 
 
 class ModelKind(Enum):
@@ -94,8 +94,7 @@ def generate_valuations(
     model: ValuationModel, n: int, rng: np.random.Generator
 ) -> ValuationMatrix:
     """Draw an n x n valuation matrix under `model`."""
-    if n < 1:
-        raise ConfigurationError("need at least one player")
+    require_int("player count", n, 1)
     # np.minimum(np.maximum(..)) clips as np.clip does, and np.add.reduce
     # over n divides as `mean` does, each without the wrapper's overhead.
     if model.kind is ModelKind.INDEPENDENT:

@@ -405,6 +405,28 @@ def test_replay_rejects_a_log_no_game_writes(tamper):
         replay(4, STANDARD_LIMITS, log)
 
 
+@pytest.mark.parametrize("action", [
+    Open(True), Open(1.0), Open("1"), Open(None), Steal(True), Steal(2.0),
+    Swap(2.0),
+], ids=repr)
+def test_replay_refuses_a_non_int_id(action):
+    """An id that is not an int is an illegal move: `True` is not played as
+    seat or gift 1, and a float, string or None fails as a move, not with a
+    TypeError from deep in the state."""
+    result = run_game(4, STANDARD_LIMITS, greedy_steal, swap=lambda st, rng: 2)
+    log = list(result.trajectory)
+    i = next(i for i, rec in enumerate(log) if type(rec.action) is type(action))
+    change(log, i, action=action)
+    with pytest.raises(IllegalMoveError):
+        replay(4, STANDARD_LIMITS, log)
+
+
+@pytest.mark.parametrize("action", [Open(1), Steal(1), Swap(None)], ids=repr)
+def test_actions_refuse_any_assignment(action):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        action.other = 1
+
+
 def test_records_differing_only_in_action_kind_compare_unequal():
     """`open-turned-steal` above is refused by the self-steal check, since
     replay hands the log's own action to the round loop; this pins that an
