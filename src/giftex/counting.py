@@ -29,7 +29,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from .engine import StealLimits
-from .errors import require_int
+from .errors import ConfigurationError, require_int
 
 UNLIMITED = 0  # lifetime sentinel, matching the engine's StealLimits encoding
 
@@ -129,9 +129,8 @@ def brute_force_count(n: int, limits: StealLimits) -> int:
     """
     require_int("player count", n, 1)
     if n > _BRUTE_FORCE_MAX:
-        raise ValueError(
-            f"brute force enumeration is limited to n <= {_BRUTE_FORCE_MAX} (got {n})"
-        )
+        raise ConfigurationError(f"player count must be <= {_BRUTE_FORCE_MAX} "
+                                 f"for brute-force enumeration, got {n}")
     per_round, lifetime = limits.per_round, limits.lifetime
     totals: list[int] = []  # lifetime steal count per opened gift, in open order
 

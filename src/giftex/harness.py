@@ -172,11 +172,13 @@ class _SeenSums:
     """Each seat's sum of its own values over the opened gifts, for the
     rules that read a mean. A seat's sum catches up over `opened_order` only
     when the seat reads it, adding in opening order from 0.0: the same float
-    additions, in the same order, as a sum kept on every open."""
+    additions, in the same order, as a sum kept on every open. `rows` are
+    float sequences indexed by gift id (lists or float64 views)."""
 
     __slots__ = ("rows", "values", "sums", "upto", "totals")
 
-    def __init__(self, rows: list[list[float]], values: np.ndarray) -> None:
+    def __init__(self, rows: Sequence[Sequence[float]],
+                 values: np.ndarray) -> None:
         self.rows = rows  # rows[seat][gift]
         self.values = values  # values[seat - 1, gift - 1]
         self.sums = [0.0] * len(rows)
@@ -228,9 +230,13 @@ def play_game(
 
     padded = np.zeros((n + 1, n + 1))
     padded[1:, 1:] = vm.values
-    V = padded.tolist()  # V[seat][gift], row and column 0 unused
+    # V[seat][gift], row and column 0 unused: a float64 view per seat, whose
+    # items read as the same Python floats `tolist` makes, built per read.
+    flat = memoryview(padded.reshape(-1))
+    V = [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]
     seen = _SeenSums(V, vm.values)
-    # order[seat]: gift ids by descending value, for `best_target`'s walk.
+    # order[seat]: gift ids by descending value, for `best_target`'s walk;
+    # Python ints, since the walk indexes lists with them.
     order = [None] + ((-vm.values).argsort(axis=1) + 1).tolist()
 
     pi_on = Feature.PI in features

@@ -39,12 +39,14 @@ def best_target(state, actor: int, values: Sequence[float],
     """The steal `actor` values most, as (victim seat, net utility, gift
     value), or None when no opened gift may be stolen.
 
-    `values[g]` is the actor's true value of gift g and `order` the actor's
-    gift ids by descending value. The walk skips the actor's own gift and
-    every gift whose `GameState.takeable` flag is off: wrapped, chain-locked
-    or at the lifetime cap. The net is the gift's value: a seat decides only
-    when empty-handed (`apply_open` and `apply_steal` refuse an actor holding
-    a gift), so no holding is given up. With `social` (SC on) the net also
+    `values` is any float sequence indexed by gift id (play passes a float64
+    row view), `values[g]` the actor's true value of gift g, and `order` the
+    actor's gift ids by descending value, a list of ints. The walk skips the
+    actor's own gift and every gift whose `GameState.takeable` flag is off:
+    wrapped, chain-locked or at the lifetime cap. The net is the gift's
+    value: a seat decides only when empty-handed (`apply_open` and
+    `apply_steal` refuse an actor holding a gift), so no holding is given
+    up. With `social` (SC on) the net also
     pays the social cost: norm violation plus reputation, plus damage growing
     with prior steals from the same victim. A strictly greater net wins; an
     equal net goes to the lower seat.

@@ -17,6 +17,7 @@ from giftex.cli import main
 from giftex.counting import (UNLIMITED, brute_force_count, count_chains,
                              count_trajectories, round_action_count)
 from giftex.engine import StealLimits
+from giftex.errors import ConfigurationError
 
 A_GOLDEN = (1, 2, 5, 16, 65, 326, 1957, 13700)
 # Verified closed-form values; the brute-force oracle reproduces every entry
@@ -217,9 +218,11 @@ def test_brute_force_standard_rules_golden():
 
 
 def test_brute_force_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError,
+                       match=r"^player count must be <= 6 for brute-force "
+                             r"enumeration, got 7$"):
         brute_force_count(7, StealLimits(1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="^player count must be >= 1"):
         brute_force_count(0, StealLimits(1, 0))
 
 

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -202,6 +203,24 @@ def test_seat_values_are_true_values_of_final_gifts():
         gift = game.result.final_ownership[seat]
         assert game.seat_values[seat - 1] == pytest.approx(
             game.valuations.values[seat - 1, gift - 1])
+
+
+def test_a_large_game_holds_no_python_float_per_value():
+    """Play reads the value matrix through float64 row views, not (n+1)²
+    Python floats. One n=200 BASE game (independent model, default
+    params) peaked at 2.61 MB under `tracemalloc` with `tolist` rows and
+    at 1.35 MB with the views (Python 3.11.7, numpy 2.4.6); the float
+    list alone is about 1.3 MB."""
+    cfg = ExperimentConfig()
+    model = cfg.model_for(ModelKind.INDEPENDENT)
+    tracemalloc.start()
+    try:
+        play_game(200, cfg.limits, model, frozenset(), cfg.behavior,
+                  game_rng(7, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9e6
 
 
 def test_base_and_pi_only_identical_for_always_steal_population():

@@ -112,13 +112,30 @@ def shuffled_order(values, rng):
     return sorted(range(1, len(values)), key=lambda g: (-values[g], keys[g]))
 
 
+def list_rows(values):
+    """V[seat][gift] as lists of floats, row and column 0 unused."""
+    return [None] + [[0.0] + row for row in values.tolist()]
+
+
+def view_rows(values):
+    """V[seat][gift] as `play_game` builds it: one float64 view per row of
+    the zero-padded matrix."""
+    n = len(values)
+    padded = np.zeros((n + 1, n + 1))
+    padded[1:, 1:] = values
+    flat = memoryview(padded.reshape(-1))
+    return [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]
+
+
+@pytest.mark.parametrize("rows", [list_rows, view_rows])
 @pytest.mark.parametrize("quantized", [False, True])
 @pytest.mark.parametrize("kind", list(ModelKind))
-def test_sorted_walk_matches_full_scan(kind, quantized):
+def test_sorted_walk_matches_full_scan(kind, quantized, rows):
     """Property: over random reachable states, `best_target` equals the full
-    scan exactly, SC off and on, under lifetime caps 0, 1 and 2. The
-    correlated and negative models clip to exact 0.0 and 1.0 and the
-    quantized rows take five values, so ties are common."""
+    scan exactly, SC off and on, under lifetime caps 0, 1 and 2, reading
+    the rows as lists and as the float64 views play passes. The correlated
+    and negative models clip to exact 0.0 and 1.0 and the quantized rows
+    take five values, so ties are common."""
     rng = np.random.default_rng([13, len(kind.value), quantized])
     ties = 0
     for trial in range(24):
@@ -126,7 +143,7 @@ def test_sorted_walk_matches_full_scan(kind, quantized):
         values = generate_valuations(ValuationModel(kind), n, rng).values
         if quantized:
             values = np.round(values * 4) / 4
-        V = [None] + [[0.0] + row for row in values.tolist()]
+        V = rows(values)
         state = GameState(n, StealLimits(1, trial % 3))
         params = BehaviorParams(c0=float(rng.choice([0.0, 0.05, 0.25])),
                                 alpha=float(rng.choice([0.0, 2.0])),
