@@ -46,10 +46,10 @@ def best_target(state, actor: int, values: Sequence[float],
     wrapped, chain-locked or at the lifetime cap. The net is the gift's
     value: a seat decides only when empty-handed (`apply_open` and
     `apply_steal` refuse an actor holding a gift), so no holding is given
-    up. With `social` (SC on) the net also
-    pays the social cost: norm violation plus reputation, plus damage growing
-    with prior steals from the same victim. A strictly greater net wins; an
-    equal net goes to the lower seat.
+    up. With `social` (SC on) the net also pays the social cost: norm
+    violation plus reputation, plus damage growing with prior steals from
+    the same victim. A strictly greater net wins; an equal net goes to the
+    lower seat.
 
     The walk stops at the first gift whose bound `value - base_cost` is below
     the best net so far. The bound holds in floats: the repeat cost is >= 0
