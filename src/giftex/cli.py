@@ -119,10 +119,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         overrides["games_per_condition"] = args.games
     config = replace(config, **overrides)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    summaries = harness.run_experiment(config, jobs=jobs)
-    effects = harness.compute_effects(summaries)
+    # An unusable --out fails here, before the run, not after it.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    summaries = harness.run_experiment(config, jobs=jobs)
+    effects = harness.compute_effects(summaries)
     destination = out_dir / f"experiment.{args.format}"
     harness.export(summaries, effects, args.format, destination, config=config)
     for s in summaries:

@@ -6,8 +6,13 @@ gift) triple; `best_target` finds the one with maximal net utility, ties
 broken toward the lowest seat, and `decide` reads only that winner. The scan
 walks the actor's value row in descending order, sorted once per game, and
 stops as soon as no remaining gift can win, so a decision seldom looks at
-every opened gift. All "exceeds" comparisons are strict, so exact ties favor
-opening.
+every opened gift. It runs in two phases: up to the first takeable gift the
+actor does not hold, then on from there. With SC off the net is the
+value, and the values only fall along the order, so a later gift can win
+only by an equal value with a lower seat; that phase reads values alone and
+reads a holder only on an exact tie. With SC on it keeps the bounded walk
+over net utilities. All "exceeds" comparisons are strict, so exact ties
+favor opening.
 """
 
 from __future__ import annotations
@@ -51,37 +56,57 @@ def best_target(state, actor: int, values: Sequence[float],
     the same victim. A strictly greater net wins; an equal net goes to the
     lower seat.
 
-    The walk stops at the first gift whose bound `value - base_cost` is below
-    the best net so far. The bound holds in floats: the repeat cost is >= 0
-    (`BehaviorParams` refuses negative c0, alpha and beta), float subtraction
-    is monotone in its subtrahend, and the values only fall along `order`.
-    On a bound equal to the best net the walk goes on, since a lower seat
-    may still tie.
+    The walk has two phases. Phase 1 runs to the first candidate: a
+    takeable gift the actor does not hold. Phase 2 goes on from there.
+
+    - SC off, the net is the value. The values only fall along `order`, so
+      no later gift can beat the candidate, and one of equal value can win
+      only with a lower seat. Phase 2 reads each takeable gift's value,
+      stops at the first lower one, and reads the holder only on an exact
+      tie, keeping the lower seat.
+    - SC on, phase 2 stops at the first gift whose bound `value -
+      base_cost` is below the best net so far. The bound holds in floats:
+      the repeat cost is >= 0 (`BehaviorParams` refuses negative c0, alpha
+      and beta), float subtraction is monotone in its subtrahend, and the
+      values only fall along `order`. On a bound equal to the best net the
+      walk goes on, since a lower seat may still tie.
     """
     holder, takeable = state.holder, state.takeable
-    base_cost = 0.0
-    if social is not None:
-        base_cost = params.c0 + params.beta * social.steals_committed[actor]
-        repeat_cost = params.c0 * params.alpha
-        h_row = social.history[actor]
-    best_victim, best_net, best_value = 0, 0.0, 0.0  # seat 0: none yet
-    for g in order:
+    walk = iter(order)
+    for g in walk:
+        if takeable[g] and holder[g] != actor:
+            break
+    else:
+        return None
+    best_victim, best_value = holder[g], values[g]
+    if social is None:
+        for g in walk:
+            if takeable[g]:
+                value = values[g]
+                if value < best_value:
+                    break
+                victim = holder[g]  # an exact tie
+                if victim < best_victim and victim != actor:
+                    best_victim, best_value = victim, value
+        return best_victim, best_value, best_value
+    base_cost = params.c0 + params.beta * social.steals_committed[actor]
+    repeat_cost = params.c0 * params.alpha
+    h_row = social.history[actor]
+    # Float addition is not associative; the exports pin this order.
+    best_net = best_value - (base_cost + repeat_cost * h_row[best_victim])
+    for g in walk:
         if not takeable[g]:
             continue
         victim = holder[g]
         if victim == actor:
             continue
         value = values[g]
-        if best_victim and value - base_cost < best_net:
+        if value - base_cost < best_net:
             break
-        net = value
-        if social is not None:
-            # Float addition is not associative; the exports pin this order.
-            net -= base_cost + repeat_cost * h_row[victim]
-        if (not best_victim or net > best_net
-                or (net == best_net and victim < best_victim)):
+        net = value - (base_cost + repeat_cost * h_row[victim])
+        if net > best_net or (net == best_net and victim < best_victim):
             best_victim, best_net, best_value = victim, net, value
-    return (best_victim, best_net, best_value) if best_victim else None
+    return best_victim, best_net, best_value
 
 
 def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],

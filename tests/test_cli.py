@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from giftex import harness
 from giftex.behavior import BehaviorParams, feature_set
 from giftex.cli import main
 from giftex.counting import count_trajectories
@@ -240,6 +241,21 @@ def test_experiment_jobs_below_one_is_exit_two(tmp_path, capsys, jobs):
                            "--out", str(tmp_path))
     assert code == 2 and "jobs" in err
     assert not (tmp_path / "experiment.csv").exists()
+
+
+def test_experiment_unusable_out_fails_before_the_run(tmp_path, capsys,
+                                                     monkeypatch):
+    # A regular file in the path, so no directory can be made below it.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def never(*args, **kwargs):
+        pytest.fail("run_experiment ran before --out was made")
+
+    monkeypatch.setattr(harness, "run_experiment", never)
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--jobs", "1",
+                           "--out", str(blocker / "x"))
+    assert code == 1 and "error:" in err
 
 
 def test_experiment_large_temperature_runs(tmp_path, capsys):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from giftex import strategies
 from giftex.behavior import BehaviorParams, SocialState, selection_weights
 from giftex.engine import GameState, Open, StealLimits
+from giftex.harness import (ExperimentConfig, enumerate_conditions,
+                            run_condition)
 from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
                                choose_open_gift, decide)
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
@@ -171,6 +174,36 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                 state.apply_steal(actor, action.victim)
     if quantized or kind is not ModelKind.INDEPENDENT:
         assert ties  # the tie-break was exercised
+
+
+def test_played_games_scan_as_the_full_scan(monkeypatch):
+    """Every `best_target` call that play makes equals the full scan on the
+    same arguments: all 48 conditions at n = 7 and 29 under lifetime caps
+    0, 1 and 2. Play reaches the clipped 1.0 tie runs and long chains far
+    more often than random legal actions do."""
+    scan = strategies.best_target
+    seen = {"sc_on": 0, "ties": 0}
+
+    def checked_scan(state, actor, values, order, social, params):
+        got = scan(state, actor, values, order, social, params)
+        assert got == full_scan(state, actor, values, social, params)
+        if social is not None:
+            seen["sc_on"] += 1
+        elif got is not None:  # SC off: count scans the tie-break decided
+            seen["ties"] += sum(
+                state.takeable[g] and state.holder[g] != actor
+                and values[g] == got[2] for g in state.opened_order) > 1
+        return got
+
+    monkeypatch.setattr(strategies, "best_target", checked_scan)
+    for n in (7, 29):
+        for cap in (0, 1, 2):
+            config = ExperimentConfig(n_players=n, games_per_condition=2,
+                                      base_seed=100 + n + cap,
+                                      limits=StealLimits(1, cap))
+            for condition in enumerate_conditions(config):
+                run_condition(condition, config)
+    assert seen["sc_on"] and seen["ties"] > 100
 
 
 # -- decision rules ---------------------------------------------------------------
