@@ -250,8 +250,13 @@ def play_game(
                         else app.signals).tolist()
     ce_wrapped_sum = running_total(sel_vals) if pi_on else 0.0
     weights: Optional[list[float]] = None
+    # A float64 copy of `weights` for `choose_open_gift`'s C draw, kept only
+    # where a pool can pass its threshold; an opened gift reads 0.0 in it.
+    weight_row: Optional[np.ndarray] = None
     if bs_on:
         weights = [0.0] + selection_weights(sel_vals[1:], params.tau)
+        if n > strategies.C_DRAW_ABOVE:
+            weight_row = np.array(weights)
     wrapped_weight = 1.0  # of `weights`, over the still-wrapped gifts
 
     # Steal history is read only by the SC cost, frustration only by the AD
@@ -302,15 +307,20 @@ def play_game(
             if bs_on and wrapped_weight < _REWEIGHT_BELOW:
                 # Weights normalized over all n gifts underflow once the
                 # heavy ones are open; normalize over what is left instead.
-                for gift, w in zip(wrapped, selection_weights(
-                        [sel_vals[gift] for gift in wrapped], params.tau)):
+                fresh = selection_weights(
+                    [sel_vals[gift] for gift in wrapped], params.tau)
+                for gift, w in zip(wrapped, fresh):
                     weights[gift] = w
+                if weight_row is not None:
+                    weight_row[wrapped] = fresh
                 wrapped_weight = 1.0
-            g = choose_open_gift(wrapped, weights, game_rng)
+            g = choose_open_gift(wrapped, weights, game_rng, weight_row)
             if pi_on:
                 ce_wrapped_sum -= sel_vals[g]
             if bs_on:
                 wrapped_weight -= weights[g]
+                if weight_row is not None:
+                    weight_row[g] = 0.0
             return opens[g]
         if sc_on:
             social.note_steal(actor, victim)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 
 class Strategy(Enum):
     ALWAYS_OPEN = "always_open"
@@ -109,13 +111,39 @@ def best_target(state, actor: int, values: Sequence[float],
     return best_victim, best_net, best_value
 
 
+# A weighted open draws in C once more than this many gifts are wrapped; below
+# it the Python loop is cheaper. Measured per call on a 2-vCPU Xeon VM, the two
+# cost the same at 40-50 gifts for n = 65-200 and about 130 at n = 1000, and
+# FULL games at n = 100-1000 ran no faster with 32 than with 64.
+C_DRAW_ABOVE = 64
+
+
 def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
-                     rng) -> int:
+                     rng, weight_row: Optional[np.ndarray] = None) -> int:
     """Pick a wrapped gift from `pool`: uniform when `weights` is None, else
-    by the selection weight indexed by gift id."""
+    by the selection weight indexed by gift id.
+
+    The weighted draw takes one `rng.random()`, scales it by the pool's
+    total weight, and returns the first gift, in `pool` order, whose running
+    sum exceeds it; when roundoff leaves none, the pool's last gift. `pool`
+    is ascending, as `GameState.wrapped` keeps it.
+
+    `weight_row`, when given, is a float64 copy of `weights` that reads 0.0
+    at every id outside `pool`, id 0 included. Above `C_DRAW_ABOVE` gifts
+    the draw runs in C over it: `add.accumulate` adds left to right from
+    index 0, so after each added 0.0 (`x + 0.0 == x`) its prefix at a pool
+    gift is the loop's running sum there, bit for bit, and its last entry
+    the loop's total; `searchsorted(..., "right")` finds the first prefix
+    above `r`, which can only sit at a gift of positive weight. The gift,
+    the draw and every float are the loop's.
+    """
     assert pool, "no wrapped gift available at a decision point"
     if weights is None:
         return pool[int(rng.integers(0, len(pool)))]
+    if weight_row is not None and len(pool) > C_DRAW_ABOVE:
+        prefix = np.add.accumulate(weight_row)
+        gift = int(prefix.searchsorted(rng.random() * prefix[-1], "right"))
+        return gift if gift < len(prefix) else pool[-1]
     total = 0.0
     for gift in pool:
         total += weights[gift]

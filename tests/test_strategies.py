@@ -1,17 +1,21 @@
 """Strategy decision rules: the target scan, boundaries, legality."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giftex import strategies
-from giftex.behavior import BehaviorParams, SocialState, selection_weights
+from giftex import harness, strategies
+from giftex.behavior import (BehaviorParams, Feature, SocialState,
+                             selection_weights)
 from giftex.engine import GameState, Open, StealLimits
 from giftex.harness import (ExperimentConfig, enumerate_conditions,
                             run_condition)
-from giftex.strategies import (STRATEGY_ORDER, Strategy, best_target,
-                               choose_open_gift, decide)
+from giftex.strategies import (C_DRAW_ABOVE, STRATEGY_ORDER, Strategy,
+                               best_target, choose_open_gift, decide)
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
 
 
@@ -298,6 +302,134 @@ def test_weighted_choice_falls_back_to_the_last_gift():
     weights = [0.0] * 8 + [5e-324, 0.0]
     assert {choose_open_gift([7, 8, 9], weights, rng)
             for _ in range(100)} == {8, 9}
+
+
+def reference_draw(pool, weights, rng):
+    """The reference weighted open: the total, then the running sum, in two
+    Python loops over `pool`. `choose_open_gift` must return the same gift
+    from the same single draw."""
+    total = 0.0
+    for gift in pool:
+        total += weights[gift]
+    r = rng.random() * total
+    acc = 0.0
+    for gift in pool:
+        acc += weights[gift]
+        if r < acc:
+            return gift
+    return pool[-1]
+
+
+def row_of(pool, weights):
+    """The float64 weight row play keeps: `weights` on `pool`, 0.0 at every
+    other id, id 0 and opened gifts included."""
+    row = np.zeros(len(weights))
+    row[pool] = [weights[g] for g in pool]
+    return row
+
+
+def assert_draws_match(pool, weights, seed, draws=50):
+    """Each of `draws` opens from `pool` equals the reference draw and leaves
+    the generator in the same state; returns the gifts drawn."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    row = row_of(pool, weights)
+    gifts = []
+    for _ in range(draws):
+        gift = choose_open_gift(pool, weights, rng, row)
+        assert gift == reference_draw(pool, weights, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        gifts.append(gift)
+    return gifts
+
+
+POOL_SIZES = (C_DRAW_ABOVE - 1, C_DRAW_ABOVE, C_DRAW_ABOVE + 1, 200)
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_draw_matches_the_reference_with_opened_ids_zeroed(size):
+    """A pool scattered over 3x its size of ids; the weight list keeps a
+    weight at every opened id, as play's list does, and the row reads 0.0
+    there."""
+    rng = np.random.default_rng(size)
+    n = 3 * size
+    pool = sorted(rng.choice(np.arange(1, n + 1), size, replace=False).tolist())
+    weights = [0.0] + rng.random(n).tolist()
+    gifts = assert_draws_match(pool, weights, seed=size, draws=200)
+    assert set(gifts) <= set(pool) and len(set(gifts)) > 10
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_draw_matches_the_reference_on_zero_and_subnormal_weights(size):
+    rng = np.random.default_rng(size + 1)
+    n = 2 * size
+    pool = sorted(rng.choice(np.arange(1, n + 1), size, replace=False).tolist())
+    tiny = (0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1.0)
+    weights = [0.0] + [tiny[k] for k in rng.integers(0, len(tiny), n)]
+    assert_draws_match(pool, weights, seed=size, draws=200)
+    # Weights of one or two units of the smallest subnormal: r and every
+    # running sum are whole units, so most draws land exactly on a running
+    # sum, where only a strict `r < acc` moves on to the next gift.
+    weights = [0.0] + [(0.0, 5e-324, 1e-323)[k] for k in rng.integers(0, 3, n)]
+    assert_draws_match(pool, weights, seed=size + 1, draws=200)
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_draw_falls_back_to_the_last_gift_as_the_reference(size):
+    """r == total: no running sum exceeds r, and both draws return the
+    pool's last gift, here one of weight 0.0."""
+    pool = list(range(2, 2 + size))
+    weights = [0.0] * (size + 3)
+    assert set(assert_draws_match(pool, weights, seed=size)) == {pool[-1]}
+    # A one-unit subnormal total: any u above 1/2 rounds r up to the total.
+    weights[pool[size // 2]] = 5e-324
+    gifts = assert_draws_match(pool, weights, seed=size, draws=100)
+    assert set(gifts) == {pool[size // 2], pool[-1]}
+
+
+@pytest.mark.parametrize("tau", [2.0, 40.0])
+def test_played_opens_draw_as_the_reference(monkeypatch, tau):
+    """Every open play makes equals the reference draw on a copy of the
+    generator, and the weight row play passes reads the list's weights on
+    the pool and 0.0 elsewhere: every BS condition of the three models at
+    n on both sides of `C_DRAW_ABOVE` and at 200. tau 40 drains the pool's
+    weight below the reweight threshold, so the row's update is checked."""
+    draw, reweigh = harness.choose_open_gift, harness.selection_weights
+    seen = {"c_draws": 0, "weightings": 0}
+
+    def counted_weights(values, tau):
+        seen["weightings"] += 1
+        return reweigh(values, tau)
+
+    def checked_draw(pool, weights, rng, weight_row=None):
+        expected = None
+        if weights is not None:
+            assert weight_row is None or np.array_equal(
+                weight_row, row_of(pool, weights))
+            ref_rng = copy.deepcopy(rng)
+            expected = reference_draw(pool, weights, ref_rng)
+            if weight_row is not None and len(pool) > C_DRAW_ABOVE:
+                seen["c_draws"] += 1
+        gift = draw(pool, weights, rng, weight_row)
+        if expected is not None:
+            assert gift == expected
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return gift
+
+    monkeypatch.setattr(harness, "choose_open_gift", checked_draw)
+    monkeypatch.setattr(harness, "selection_weights", counted_weights)
+    games = 0
+    for n, per_condition in ((C_DRAW_ABOVE - 1, 1), (C_DRAW_ABOVE + 1, 1),
+                             (200, 1)):
+        config = ExperimentConfig(
+            n_players=n, games_per_condition=per_condition, base_seed=n,
+            behavior=dataclasses.replace(PARAMS, tau=tau))
+        for condition in enumerate_conditions(config):
+            if Feature.BS in condition.features:
+                run_condition(condition, config)
+                games += per_condition
+    assert seen["c_draws"] > 1000
+    if tau == 40.0:  # the reweight path ran, more than once a game
+        assert seen["weightings"] > 2 * games
 
 
 # -- legality fuzz --------------------------------------------------------------------
