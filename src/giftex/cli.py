@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import counting, harness
 from .behavior import BehaviorParams, feature_label, feature_set
-from .engine import StealLimits
+from .engine import Open, Steal, StealLimits
 from .errors import GiftexError
 from .valuation import ModelKind
 
@@ -88,17 +88,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"players: {args.players}  model: {args.model}  "
           f"features: {feature_label(features)}  seed: {seed}")
     if args.trace:
-        for rec in harness.game_trace(game)["trajectory"]:
-            if rec["kind"] == "open":
-                desc = f"open gift {rec['gift']}"
-            elif rec["kind"] == "steal":
-                desc = f"steal gift {rec['gift']} from seat {rec['victim']}"
-            elif rec["partner"] is None:
+        for actor, action, k, position, gift in result.trajectory:
+            if type(action) is Open:
+                desc = f"open gift {gift}"
+            elif type(action) is Steal:
+                desc = f"steal gift {gift} from seat {action.victim}"
+            elif action.partner is None:
                 desc = "keep (swap declined)"
             else:
-                desc = f"swap with seat {rec['partner']}"
-            print(f"  round {rec['round']:>3} chain "
-                  f"{rec['position_in_chain']:>2}  seat {rec['actor']:>3}: "
+                desc = f"swap with seat {action.partner}"
+            print(f"  round {k:>3} chain {position:>2}  seat {actor:>3}: "
                   f"{desc}")
     for seat in range(1, args.players + 1):
         gift = result.final_ownership[seat]

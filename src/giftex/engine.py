@@ -6,9 +6,9 @@ victim, who must act immediately; the resulting chain ends when somebody opens
 a wrapped gift, which also ends the round. After round n the first player may
 swap with any other player, then the game is over. `run_game` is the one
 round loop; `replay` checks a logged trajectory by playing it again through it.
-The loop logs each move as a plain tuple; `GameResult.trajectory` turns the
-log into `ActionRecord`s on first read, so play that never reads it builds
-none.
+The loop logs each move in `GameResult.trajectory` as a plain
+`(actor, action, round, position_in_chain, gift)` tuple; `ActionRecord` only
+names those fields, and play builds none.
 
 State is mutated in place. A single game is strictly single-threaded; distinct
 games may run concurrently as long as each owns its state and random stream.
@@ -16,11 +16,9 @@ games may run concurrently as long as each owns its state and random stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cache, cached_property
-from itertools import starmap
-from operator import attrgetter
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import cache
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import IllegalMoveError, PhaseError, require_int
 
@@ -73,9 +71,9 @@ def shared_actions(n: int) -> tuple[tuple[Open, ...], tuple[Steal, ...]]:
     return tuple(map(Open, range(n + 1))), tuple(map(Steal, range(n + 1)))
 
 
-@dataclass(slots=True)
-class ActionRecord:
-    """One logged move. ``position_in_chain`` is 0 for the primary turn and
+class ActionRecord(NamedTuple):
+    """One logged move's fields by name; it equals the plain tuple that
+    `run_game` logs. ``position_in_chain`` is 0 for the primary turn and
     increments along a stealing chain; ``gift`` is the gift opened, stolen,
     or received in the final swap (None for a declined swap)."""
 
@@ -84,10 +82,6 @@ class ActionRecord:
     round: int
     position_in_chain: int
     gift: Optional[int]
-
-
-# A record's fields as one tuple: the form `run_game` logs a move in.
-_move_of = attrgetter(*(f.name for f in fields(ActionRecord)))
 
 
 class GameState:
@@ -225,21 +219,16 @@ class GameState:
 class GameResult:
     """Outcome of a complete game plus a replayable action log.
 
-    ``moves`` holds one ``(actor, action, round, position_in_chain, gift)``
-    tuple per move, the fields of `ActionRecord` in order.
+    ``trajectory`` holds one ``(actor, action, round, position_in_chain,
+    gift)`` tuple per move, the fields of `ActionRecord` in order.
     """
 
     n: int
     limits: StealLimits
     final_ownership: dict[int, int]
-    moves: tuple[tuple, ...]
+    trajectory: tuple[tuple, ...]
     steal_count: int
     chain_lengths: tuple[int, ...]
-
-    @cached_property
-    def trajectory(self) -> tuple[ActionRecord, ...]:
-        """The log as `ActionRecord`s, built on first read."""
-        return tuple(starmap(ActionRecord, self.moves))
 
 
 DecideFn = Callable[[GameState, int, object], Action]
@@ -294,22 +283,25 @@ def run_game(
         n=n,
         limits=limits,
         final_ownership=final,
-        moves=tuple(moves),
+        trajectory=tuple(moves),
         steal_count=sum(chain_lengths),
         chain_lengths=tuple(chain_lengths),
     )
 
 
 def replay(
-    n: int, limits: StealLimits, trajectory: Sequence[ActionRecord]
+    n: int, limits: StealLimits, trajectory: Sequence[tuple]
 ) -> GameState:
     """Play a logged trajectory again through `run_game`; return the end state.
 
-    The log's actions drive the game, and the game must log exactly the same
-    records: every field, the swap last, nothing after it. Any other log
-    raises `IllegalMoveError`.
+    The log is a sequence of 5-tuples (or `ActionRecord`s). Its actions drive
+    the game, and the game must log exactly the same tuples: every field, the
+    swap last, nothing after it. Any other log raises `IllegalMoveError`.
     """
     log = tuple(trajectory)
+    for i, rec in enumerate(log):
+        if not isinstance(rec, tuple) or len(rec) != 5:
+            raise IllegalMoveError(f"record {i} {rec!r} is not a 5-tuple")
     moves = iter(log)
     end: list[GameState] = []
 
@@ -317,26 +309,23 @@ def replay(
         rec = next(moves, None)
         if rec is None:
             raise IllegalMoveError("the log ends before the game does")
-        return rec.action
+        return rec[1]
 
     def swap(state: GameState, rng: object) -> Optional[int]:
         rec = next(moves, None)
-        if rec is None or type(rec.action) is not Swap:
+        if rec is None or type(rec[1]) is not Swap:
             raise IllegalMoveError(f"the log has {rec!r} where the swap is due")
         end.append(state)
-        return rec.action.partner
+        return rec[1].partner
 
-    played = run_game(n, limits, decide, swap).moves
-    logged = tuple(map(_move_of, log))
-    if logged != played:
-        for i, (got, want) in enumerate(zip(logged, played)):
-            if got != want:
-                name, have, logs = next(
-                    (f.name, a, b) for f, a, b in
-                    zip(fields(ActionRecord), got, want) if a != b)
-                raise IllegalMoveError(
-                    f"record {i} {log[i]!r} names {name} {have}, "
-                    f"the game logs {logs}")
+    played = run_game(n, limits, decide, swap).trajectory
+    if log != played:
+        for i, (got, want) in enumerate(zip(log, played)):
+            for name, have, logs in zip(ActionRecord._fields, got, want):
+                if have != logs:
+                    raise IllegalMoveError(
+                        f"record {i} {got!r} names {name} {have}, "
+                        f"the game logs {logs}")
         raise IllegalMoveError(
             f"the log has {len(log)} records, the game {len(played)}")
     return end[0]

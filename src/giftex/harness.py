@@ -354,7 +354,7 @@ def game_rng(base_seed: int, condition_index: int, game_index: int) -> np.random
 def game_trace(game: PlayedGame) -> dict:
     """JSON-serializable dump of one game: inputs, trajectory, outcome."""
     records = []
-    for actor, action, k, position, gift in game.result.moves:
+    for actor, action, k, position, gift in game.result.trajectory:
         kind = type(action).__name__.lower()
         record = {"actor": actor, "kind": kind, "round": k,
                   "position_in_chain": position, "gift": gift}

@@ -154,14 +154,13 @@ def check_game(game, n, limits):
     round_counts = {}
     total_counts = {}
     current_round = 0
-    for rec in result.trajectory:
-        if type(rec.action) is Swap:
+    for _, action, k, _, g in result.trajectory:
+        if type(action) is Swap:
             continue
-        if rec.round != current_round:
-            current_round = rec.round
+        if k != current_round:
+            current_round = k
             round_counts = {}
-        if type(rec.action) is Steal:
-            g = rec.gift
+        if type(action) is Steal:
             round_counts[g] = round_counts.get(g, 0) + 1
             total_counts[g] = total_counts.get(g, 0) + 1
             if limits.per_round:

@@ -299,7 +299,7 @@ def test_two_player_steal_trajectory():
     # Seat 2 steals, seat 1 forced to open: chain length 1 in round 2.
     result = run_game(2, STANDARD_LIMITS, greedy_steal)
     assert result.chain_lengths == (0, 1)
-    kinds = [type(r.action) for r in result.trajectory]
+    kinds = [type(action) for _, action, *_ in result.trajectory]
     assert kinds == [Open, Steal, Open, Swap]
 
 
@@ -312,7 +312,8 @@ def test_steal_count_equals_chain_sum():
     rng = np.random.default_rng(3)
     result = run_game(8, STANDARD_LIMITS, random_policy, rng=rng)
     assert result.steal_count == sum(result.chain_lengths)
-    steals = sum(1 for r in result.trajectory if type(r.action) is Steal)
+    steals = sum(1 for _, action, *_ in result.trajectory
+                 if type(action) is Steal)
     assert steals == result.steal_count
 
 
@@ -320,10 +321,10 @@ def test_chain_positions_increment():
     rng = np.random.default_rng(11)
     result = run_game(7, STANDARD_LIMITS, greedy_steal, rng=rng)
     by_round = {}
-    for rec in result.trajectory:
-        if type(rec.action) is Swap:
+    for _, action, k, position, _ in result.trajectory:
+        if type(action) is Swap:
             continue
-        by_round.setdefault(rec.round, []).append(rec.position_in_chain)
+        by_round.setdefault(k, []).append(position)
     for positions in by_round.values():
         assert positions == list(range(len(positions)))
 
@@ -363,23 +364,34 @@ def test_replay_rejects_a_tampered_gift():
     victim's gift before the steal, or seat 1's after the swap (None when
     the swap is declined). Changing any one of them fails the replay."""
     result = run_game(5, STANDARD_LIMITS, greedy_steal, swap=lambda st, rng: 2)
-    assert {type(rec.action) for rec in result.trajectory} == {Open, Steal, Swap}
+    assert {type(action) for _, action, *_ in result.trajectory} == {
+        Open, Steal, Swap}
     replay(5, STANDARD_LIMITS, result.trajectory)
-    for i, rec in enumerate(result.trajectory):
+    for i, (*head, gift) in enumerate(result.trajectory):
         tampered = list(result.trajectory)
-        tampered[i] = dataclasses.replace(rec, gift=rec.gift % 5 + 1)
+        tampered[i] = (*head, gift % 5 + 1)
         with pytest.raises(IllegalMoveError, match="names gift"):
             replay(5, STANDARD_LIMITS, tampered)
     declined = run_game(3, STANDARD_LIMITS, open_lowest)
-    *rounds, swap = declined.trajectory
-    assert swap.gift is None
-    accepted = dataclasses.replace(swap, gift=declined.final_ownership[1])
+    *rounds, (*head, gift) = declined.trajectory
+    assert gift is None
+    accepted = (*head, declined.final_ownership[1])
     with pytest.raises(IllegalMoveError, match="names gift"):
         replay(3, STANDARD_LIMITS, [*rounds, accepted])
 
 
 def change(log, i, **fields):
-    log[i] = dataclasses.replace(log[i], **fields)
+    log[i] = ActionRecord._make(log[i])._replace(**fields)
+
+
+def put(log, i, rec):
+    log[i] = rec
+
+
+MALFORMED = {"json-list-record": list,
+             "four-tuple-record": lambda rec: rec[:4],
+             "six-tuple-record": lambda rec: (*rec, None),
+             "none-record": lambda rec: None}
 
 
 @pytest.mark.parametrize("tamper", [
@@ -391,10 +403,12 @@ def change(log, i, **fields):
     lambda log: log.append(log[-1]),
     lambda log: log.insert(1, log[-1]),
     lambda log: log.insert(-1, log[0]),
-    lambda log: change(log, 1, action=Steal(log[1].action.gift)),
+    lambda log: change(log, 1, action=Steal(log[1][1].gift)),
+    *(lambda log, make=make: put(log, 2, make(log[2]))
+      for make in MALFORMED.values()),
 ], ids=["actors-of-two-rounds-swapped", "wrong-round", "wrong-position",
         "empty-log", "swap-dropped", "one-record-too-many", "swap-in-mid-log",
-        "open-where-the-swap-is-due", "open-turned-steal"])
+        "open-where-the-swap-is-due", "open-turned-steal", *MALFORMED])
 def test_replay_rejects_a_log_no_game_writes(tamper):
     """Replay plays the log through the round loop, so every field of every
     record, the swap's place at the end and the log's length are checked."""
@@ -402,6 +416,16 @@ def test_replay_rejects_a_log_no_game_writes(tamper):
     log = list(result.trajectory)
     tamper(log)
     with pytest.raises(IllegalMoveError):
+        replay(4, STANDARD_LIMITS, log)
+
+
+@pytest.mark.parametrize("make", MALFORMED.values(), ids=MALFORMED)
+def test_replay_names_a_record_that_is_not_a_5_tuple(make):
+    """A JSON list, a tuple of the wrong length or None is refused by index
+    before play, not with a TypeError or StopIteration from the comparison."""
+    log = list(run_game(4, STANDARD_LIMITS, open_lowest).trajectory)
+    log[2] = make(log[2])
+    with pytest.raises(IllegalMoveError, match=r"^record 2 "):
         replay(4, STANDARD_LIMITS, log)
 
 
@@ -415,7 +439,7 @@ def test_replay_refuses_a_non_int_id(action):
     TypeError from deep in the state."""
     result = run_game(4, STANDARD_LIMITS, greedy_steal, swap=lambda st, rng: 2)
     log = list(result.trajectory)
-    i = next(i for i, rec in enumerate(log) if type(rec.action) is type(action))
+    i = next(i for i, rec in enumerate(log) if type(rec[1]) is type(action))
     change(log, i, action=action)
     with pytest.raises(IllegalMoveError):
         replay(4, STANDARD_LIMITS, log)
@@ -436,6 +460,7 @@ def test_records_differing_only_in_action_kind_compare_unequal():
     opened = ActionRecord(3, Open(3), 3, 0, 3)
     assert opened != ActionRecord(3, Steal(3), 3, 0, 3)
     assert opened == ActionRecord(3, Open(3), 3, 0, 3)
+    assert opened == (3, Open(3), 3, 0, 3)  # a record is its plain tuple
 
 
 @given(seed=st.integers(min_value=0, max_value=2000))
@@ -489,11 +514,11 @@ def test_caps_respected_under_aggressive_play():
         assert result.steal_count > 0
         # per-round and lifetime steals per gift, counted from the log
         round_counts, total_counts = {}, {}
-        for rec in result.trajectory:
-            if type(rec.action) is Steal:
-                key = (rec.round, rec.gift)
+        for _, action, k, _, gift in result.trajectory:
+            if type(action) is Steal:
+                key = (k, gift)
                 round_counts[key] = round_counts.get(key, 0) + 1
-                total_counts[rec.gift] = total_counts.get(rec.gift, 0) + 1
+                total_counts[gift] = total_counts.get(gift, 0) + 1
         assert max(round_counts.values()) == 1  # the chain lock, any per_round
         if limits.lifetime:
             assert max(total_counts.values()) <= limits.lifetime

@@ -23,6 +23,8 @@ def test_traced_game_and_count_reach_every_layer():
                                  harness.game_rng(42, 47, 0))
         assert count_trajectories(6, 2) > 0
     assert game.result.steal_count > 0
+    # the tracer counts records through the field it reads off the result
+    assert tracer.counters["engine.records"] == len(game.result.trajectory)
     for name in ("harness.decide_callback", "strategies.best_target",
                  "engine.GameState.apply_steal", "engine.GameState.apply_open",
                  "harness.play_game", "counting.count_chains"):
