@@ -99,14 +99,17 @@ class GameState:
     takeable : per-gift steal legality, kept by the transitions: True
         exactly when the gift is opened, not chain-locked and under the
         lifetime cap
+    offer : seat-indexed bytes, kept beside `takeable` while gift ids fit
+        a byte (n <= 255), else None: ``offer[s]`` is the id of the gift
+        seat s holds while that gift is takeable, else 0
     round : current round index, 1..n
     displaced : seat that must act next inside a chain, else None
     """
 
     __slots__ = (
         "n", "limits", "ownership", "holder", "wrapped", "opened_order",
-        "chain_locked", "total_steals", "takeable", "round", "displaced",
-        "swap_pending", "concluded",
+        "chain_locked", "total_steals", "takeable", "offer", "round",
+        "displaced", "swap_pending", "concluded",
     )
 
     def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
@@ -121,6 +124,7 @@ class GameState:
         self.chain_locked: set[int] = set()
         self.total_steals: list[int] = [0] * (n + 1)
         self.takeable: list[bool] = [False] * (n + 1)
+        self.offer: Optional[bytearray] = bytearray(n + 1) if n <= 255 else None
         self.round = 1
         self.displaced: Optional[int] = None
         self.swap_pending = False
@@ -157,14 +161,18 @@ class GameState:
         self.holder[gift] = actor
         self.wrapped.remove(gift)
         self.opened_order.append(gift)
-        takeable = self.takeable
+        takeable, offer = self.takeable, self.offer
         takeable[gift] = True  # never stolen, so under any cap
+        if offer is not None:
+            offer[actor] = gift
         # Every open ends the chain and the round: its locks lift, and a
         # locked gift is takeable again unless the steal used up its cap.
         lifetime, total = self.limits.lifetime, self.total_steals
         for g in self.chain_locked:
             if not lifetime or total[g] < lifetime:
                 takeable[g] = True
+                if offer is not None:
+                    offer[self.holder[g]] = g
         self.chain_locked.clear()
         self.displaced = None
         if self.round == self.n:
@@ -193,6 +201,8 @@ class GameState:
         self.ownership[victim] = None
         self.chain_locked.add(gift)
         self.takeable[gift] = False
+        if self.offer is not None:
+            self.offer[victim] = 0  # the thief's new gift is locked
         self.total_steals[gift] += 1
         self.displaced = victim
         return self
@@ -210,6 +220,9 @@ class GameState:
             g1, gm = self.ownership[1], self.ownership[partner]
             self.ownership[1], self.ownership[partner] = gm, g1
             self.holder[gm], self.holder[g1] = 1, partner
+            offer = self.offer
+            if offer is not None:
+                offer[1], offer[partner] = offer[partner], offer[1]
         self.swap_pending = False
         self.concluded = True
         return self

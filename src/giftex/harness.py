@@ -264,6 +264,12 @@ def play_game(
     social = SocialState(n) if sc_on or ad_on else None
     sc_social = social if sc_on else None
     frustration = social.frustration if ad_on else None
+    # Each seat's `best_target` table of the gifts tied at its top value,
+    # built at its first scan; only SC-off scans read one, and only while
+    # gift ids fit the engine's `offer` bytes.
+    tops: Optional[list] = None
+    if not sc_on and strategies.TOP_TABLE_ABOVE < n <= 255:
+        tops = [None] * (n + 1)
 
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
     threshold = params.threshold
@@ -283,9 +289,15 @@ def play_game(
         if (not ad_on or game_rng.random() < adaptive_prob_linear(
                 p0, st.round * inv_n, frustration[actor], 0.0, l1, l2, l3)
                 ) and kind is not ALWAYS_OPEN:
+            top = b""
+            if tops is not None:
+                top = tops[actor]
+                if top is None:
+                    top = tops[actor] = strategies.top_table(V[actor],
+                                                             order[actor])
             # Through the module, where the benchmark's tracer wraps it.
             best = strategies.best_target(st, actor, V[actor], order[actor],
-                                          sc_social, params)
+                                          sc_social, params, top)
             if best is not None:
                 # Each mean has one reader; a target implies an opened gift,
                 # and a decision always has a wrapped one.

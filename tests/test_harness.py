@@ -424,9 +424,12 @@ def test_every_decision_is_made_empty_handed(monkeypatch):
 def test_takeable_flags_follow_every_transition(monkeypatch):
     """After every transition of played games, each gift's `takeable` flag
     is the steal rule recomputed from state: opened, not chain-locked and
-    under the lifetime cap. All 48 conditions, n = 2, 7 and 29, lifetime
-    caps 0 to 3."""
-    seen = {"transitions": 0, "locked": 0, "capped": 0}
+    under the lifetime cap; and each seat's `offer` entry is the gift it
+    holds while that gift is takeable, else 0. All 48 conditions, n = 2, 7
+    and 29, lifetime caps 0 to 3; then one correlated BASE game at n = 255,
+    the largest n the engine keeps `offer` for, and one at n = 256, where
+    it keeps none."""
+    seen = {"transitions": 0, "locked": 0, "capped": 0, "offered": 0}
 
     def check(state):
         lifetime, total = state.limits.lifetime, state.total_steals
@@ -435,6 +438,13 @@ def test_takeable_flags_follow_every_transition(monkeypatch):
             and not (lifetime and total[g] >= lifetime)
             for g in range(1, state.n + 1)]
         assert state.takeable == rule
+        if state.n > 255:
+            assert state.offer is None
+        else:
+            held = [0] + [state.ownership[s] or 0
+                          for s in range(1, state.n + 1)]
+            assert list(state.offer) == [g if rule[g] else 0 for g in held]
+            seen["offered"] += state.n + 1 - state.offer.count(0)
         seen["transitions"] += 1
         seen["locked"] += len(state.chain_locked)
         seen["capped"] += sum(lifetime > 0 and t >= lifetime for t in total)
@@ -456,6 +466,13 @@ def test_takeable_flags_follow_every_transition(monkeypatch):
                           cond.features, cfg.behavior,
                           game_rng(cfg.base_seed, cond.index, 0))
     assert seen["transitions"] and seen["locked"] and seen["capped"]
+    assert seen["offered"]
+    for n in (255, 256):
+        cfg = ExperimentConfig(n_players=n, limits=StealLimits(1, 1))
+        before = seen["transitions"]
+        play_game(n, cfg.limits, cfg.model_for(ModelKind.CORRELATED),
+                  frozenset(), cfg.behavior, game_rng(100 * n, 16, 0))
+        assert seen["transitions"] > before + n
 
 
 def column_add_sums(values, opened):

@@ -15,7 +15,8 @@ from giftex.engine import GameState, Open, StealLimits
 from giftex.harness import (ExperimentConfig, enumerate_conditions,
                             run_condition)
 from giftex.strategies import (C_DRAW_ABOVE, STRATEGY_ORDER, Strategy,
-                               best_target, choose_open_gift, decide)
+                               best_target, choose_open_gift, decide,
+                               top_table)
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
 
 
@@ -86,6 +87,29 @@ def test_best_target_walks_on_through_a_tie_at_the_bound():
                            PARAMS) == (3, 0.7, 0.7)
 
 
+def test_best_target_walks_when_the_actor_holds_a_top_gift():
+    # Seat 2 holds gift 2 and seat 3 gift 3, both at seat 2's top value 1.0.
+    # Seat 2 is not empty-handed, so the table is not read: the lowest seat
+    # holding a top gift is seat 2 itself, and the walk goes past it. Then
+    # seat 2 alone holds its top gift, and the walk finds seat 3's.
+    state = GameState(4)
+    for seat in range(1, 4):
+        state.apply_open(seat, seat)
+    for values, want in (([0.0, 0.5, 1.0, 1.0, 0.0], (3, 1.0, 1.0)),
+                         ([0.0, 0.5, 1.0, 0.7, 0.0], (3, 0.7, 0.7))):
+        order = by_value(values)
+        table = tie_table(values)
+        assert best_target(state, 2, values, order, None, PARAMS,
+                           table) == want
+
+
+def tie_table(values):
+    """The `top` table from its definition: a 1 at each gift id whose value
+    equals the row maximum, a lone top gift included."""
+    top = max(values[1:])
+    return bytes(0 < g < len(values) and values[g] == top for g in range(256))
+
+
 def full_scan(state, actor, values, social, params):
     """The reference scan: every opened gift, in opening order, no early
     exit, legality recomputed from `holder`, `chain_locked` and
@@ -140,9 +164,10 @@ def view_rows(values):
 def test_sorted_walk_matches_full_scan(kind, quantized, rows):
     """Property: over random reachable states, `best_target` equals the full
     scan exactly, SC off and on, under lifetime caps 0, 1 and 2, reading
-    the rows as lists and as the float64 views play passes. The correlated
-    and negative models clip to exact 0.0 and 1.0 and the quantized rows
-    take five values, so ties are common."""
+    the rows as lists and as the float64 views play passes, with and
+    without the actor's top table. The correlated and negative models clip
+    to exact 0.0 and 1.0 and the quantized rows take five values, so ties
+    are common; every actor is scanned, holding a gift or not."""
     rng = np.random.default_rng([13, len(kind.value), quantized])
     ties = 0
     for trial in range(24):
@@ -165,10 +190,15 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                 row = V[actor]
                 order = shuffled_order(row, rng)
                 ties += len(set(row[1:])) < n
+                table = tie_table(row)
+                assert top_table(row, order) == (
+                    table if sum(table) > 1 else b"")
                 for sc in (None, social):
+                    want = full_scan(state, actor, row, sc, params)
                     assert best_target(state, actor, row, order, sc,
-                                       params) == full_scan(
-                        state, actor, row, sc, params)
+                                       params) == want
+                    assert best_target(state, actor, row, order, sc,
+                                       params, table) == want
             actor = state.round if state.displaced is None else state.displaced
             actions = state.legal_actions(actor)
             action = actions[int(rng.integers(0, len(actions)))]
@@ -182,14 +212,15 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
 
 def test_played_games_scan_as_the_full_scan(monkeypatch):
     """Every `best_target` call that play makes equals the full scan on the
-    same arguments: all 48 conditions at n = 7 and 29 under lifetime caps
-    0, 1 and 2. Play reaches the clipped 1.0 tie runs and long chains far
-    more often than random legal actions do."""
+    same arguments: all 48 conditions at n = 7 and 29, and the 24 SC-off
+    conditions at n = 100, where play passes each seat's `top_table`,
+    under lifetime caps 0, 1 and 2. Play reaches the clipped 1.0 tie runs
+    and long chains far more often than random legal actions do."""
     scan = strategies.best_target
-    seen = {"sc_on": 0, "ties": 0}
+    seen = {"sc_on": 0, "ties": 0, "table": 0}
 
-    def checked_scan(state, actor, values, order, social, params):
-        got = scan(state, actor, values, order, social, params)
+    def checked_scan(state, actor, values, order, social, params, top=b""):
+        got = scan(state, actor, values, order, social, params, top)
         assert got == full_scan(state, actor, values, social, params)
         if social is not None:
             seen["sc_on"] += 1
@@ -197,17 +228,21 @@ def test_played_games_scan_as_the_full_scan(monkeypatch):
             seen["ties"] += sum(
                 state.takeable[g] and state.holder[g] != actor
                 and values[g] == got[2] for g in state.opened_order) > 1
+            # ... and those a takeable gift in the top table answered
+            seen["table"] += bool(top) and any(
+                top[g] and state.takeable[g] for g in state.opened_order)
         return got
 
     monkeypatch.setattr(strategies, "best_target", checked_scan)
-    for n in (7, 29):
+    for n in (7, 29, 100):
         for cap in (0, 1, 2):
             config = ExperimentConfig(n_players=n, games_per_condition=2,
                                       base_seed=100 + n + cap,
                                       limits=StealLimits(1, cap))
             for condition in enumerate_conditions(config):
-                run_condition(condition, config)
-    assert seen["sc_on"] and seen["ties"] > 100
+                if n < 100 or Feature.SC not in condition.features:
+                    run_condition(condition, config)
+    assert seen["sc_on"] and seen["ties"] > 100 and seen["table"] > 100
 
 
 # -- decision rules ---------------------------------------------------------------
