@@ -44,6 +44,10 @@ class StealLimits:
 
 STANDARD_LIMITS = StealLimits(1, 0)
 
+# `GameState.offer` holds gift ids as bytes, so it is kept up to this many
+# players only.
+OFFER_MAX_N = 255
+
 
 @dataclass(frozen=True)
 class Open:
@@ -100,8 +104,8 @@ class GameState:
         exactly when the gift is opened, not chain-locked and under the
         lifetime cap
     offer : seat-indexed bytes, kept beside `takeable` while gift ids fit
-        a byte (n <= 255), else None: ``offer[s]`` is the id of the gift
-        seat s holds while that gift is takeable, else 0
+        a byte (n <= OFFER_MAX_N), else None: ``offer[s]`` is the id of the
+        gift seat s holds while that gift is takeable, else 0
     round : current round index, 1..n
     displaced : seat that must act next inside a chain, else None
     """
@@ -124,7 +128,8 @@ class GameState:
         self.chain_locked: set[int] = set()
         self.total_steals: list[int] = [0] * (n + 1)
         self.takeable: list[bool] = [False] * (n + 1)
-        self.offer: Optional[bytearray] = bytearray(n + 1) if n <= 255 else None
+        self.offer: Optional[bytearray] = (bytearray(n + 1)
+                                           if n <= OFFER_MAX_N else None)
         self.round = 1
         self.displaced: Optional[int] = None
         self.swap_pending = False

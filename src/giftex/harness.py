@@ -30,8 +30,8 @@ from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
                        frustration_decay, frustration_on_theft,
                        running_total, selection_weights)
 from .beliefs import wrapped_gift_value
-from .engine import (STANDARD_LIMITS, GameResult, StealLimits, run_game,
-                     shared_actions)
+from .engine import (OFFER_MAX_N, STANDARD_LIMITS, GameResult, StealLimits,
+                     run_game, shared_actions)
 from .errors import ConfigurationError, require_float, require_int
 from .strategies import (ALWAYS_OPEN, EXPECTED_VALUE, MEAN_BASED,
                          STRATEGY_ORDER, Strategy, choose_open_gift,
@@ -266,9 +266,9 @@ def play_game(
     frustration = social.frustration if ad_on else None
     # Each seat's `best_target` table of the gifts tied at its top value,
     # built at its first scan; only SC-off scans read one, and only while
-    # gift ids fit the engine's `offer` bytes.
+    # the engine keeps `offer`.
     tops: Optional[list] = None
-    if not sc_on and strategies.TOP_TABLE_ABOVE < n <= 255:
+    if not sc_on and strategies.TOP_TABLE_ABOVE < n <= OFFER_MAX_N:
         tops = [None] * (n + 1)
 
     p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3

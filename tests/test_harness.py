@@ -438,7 +438,7 @@ def test_takeable_flags_follow_every_transition(monkeypatch):
             and not (lifetime and total[g] >= lifetime)
             for g in range(1, state.n + 1)]
         assert state.takeable == rule
-        if state.n > 255:
+        if state.n > engine.OFFER_MAX_N:
             assert state.offer is None
         else:
             held = [0] + [state.ownership[s] or 0
