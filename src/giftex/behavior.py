@@ -100,6 +100,11 @@ class SocialState:
 
     Counters cover the whole game including chains; the final swap is a strict
     trade and touches nothing here.
+
+    `history[thief][victim]` counts the thief's steals from the victim. A
+    seat's row is a list made at its first steal; until then the seat reads
+    the one zero row all such seats share, an immutable `bytes`, so a read
+    creates nothing. Only `note_steal` writes a row.
     """
 
     __slots__ = ("frustration", "frustrated", "steals_committed", "history")
@@ -108,11 +113,14 @@ class SocialState:
         self.frustration = [0.0] * (n + 1)
         self.frustrated: set[int] = set()  # seats `frustration_decay` visits
         self.steals_committed = [0] * (n + 1)
-        self.history = [[0] * (n + 1) for _ in range(n + 1)]
+        self.history: list[Sequence[int]] = [bytes(n + 1)] * (n + 1)
 
     def note_steal(self, thief: int, victim: int) -> None:
         """Record a completed steal in the thief's history and totals."""
-        self.history[thief][victim] += 1
+        row = self.history[thief]
+        if type(row) is bytes:
+            row = self.history[thief] = list(row)
+        row[victim] += 1
         self.steals_committed[thief] += 1
 
 

@@ -205,6 +205,78 @@ class _SeenSums:
         return total - self.seen(seat, opened)
 
 
+# Words `_Draws` takes from the generator at a time.
+_DRAW_BLOCK = 64
+_LOW32 = 0xFFFFFFFF
+
+
+class _Draws:
+    """Play's scalar draws, `random()` and `integers(low, high)`, read from
+    a PCG64 generator's raw 64-bit words, fetched `_DRAW_BLOCK` at a time:
+    the floats and ints numpy's own calls return, in the same order,
+    without numpy's per-call overhead. `random()` is numpy's
+    `(word >> 11) * 2**-53`. `integers` is numpy's 32-bit Lemire draw
+    (Lemire 2019, arXiv:1805.10941) for spans of 2 to 2**32; a span of 1
+    draws nothing. Its 32-bit halves come as numpy takes them: a word's low
+    half first, its high half kept for the next 32-bit draw, which a
+    `random()` in between leaves alone. `close` hands the generator back
+    exactly where numpy's calls would have left it."""
+
+    __slots__ = ("source", "words", "has_half", "half")
+
+    def __init__(self, bit_generator: np.random.PCG64) -> None:
+        state = bit_generator.state
+        self.source = bit_generator
+        self.words: list[int] = []  # the block's unread words, last first
+        # numpy's `has_uint32` and `uinteger`: the buffered high half, and
+        # the last one buffered, kept after it is read, as numpy keeps it.
+        self.has_half = state["has_uint32"]
+        self.half = state["uinteger"]
+
+    def _fetch(self) -> int:
+        """Fetch a block; return its first word."""
+        words = self.words = self.source.random_raw(
+            _DRAW_BLOCK).tolist()
+        words.reverse()
+        return words.pop()
+
+    def _uint32(self) -> int:
+        if self.has_half:
+            self.has_half = 0
+            return self.half
+        words = self.words
+        word = words.pop() if words else self._fetch()
+        self.has_half, self.half = 1, word >> 32
+        return word & _LOW32
+
+    def random(self) -> float:
+        words = self.words
+        return ((words.pop() if words else self._fetch()) >> 11) * 2.0 ** -53
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if span == 1:
+            return low
+        m = self._uint32() * span
+        if m & _LOW32 < span:
+            # Rejection: draws whose low part falls under 2**32 mod span.
+            threshold = (1 << 32) % span
+            while m & _LOW32 < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+    def close(self) -> None:
+        """Rewind the generator over the fetched words no draw read, and set
+        its buffered half to this object's."""
+        bit_generator = self.source
+        unused = len(self.words)
+        if unused:
+            bit_generator.advance((1 << 128) - unused)  # modulo 2**128
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = self.has_half, self.half
+        bit_generator.state = state
+
+
 def play_game(
     n: int,
     limits: StealLimits,
@@ -217,8 +289,15 @@ def play_game(
     """Assemble and play one decorated game.
 
     `fixed_strategy` pins every seat to one strategy (test fixtures); normal
-    play assigns strategies uniformly at random per seat.
+    play assigns strategies uniformly at random per seat. `rng` must be a
+    PCG64 generator (`default_rng`'s): after the input draws, play's scalar
+    draws read its raw words through `_Draws`, which leaves it where
+    numpy's own calls would.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ConfigurationError(
+            "play needs a PCG64 generator, got "
+            f"{type(rng.bit_generator).__name__}")
     vm = generate_valuations(model, n, rng)
     app = generate_appearance(vm.quality, params.sigma_a, rng)
     if fixed_strategy is None:
@@ -236,8 +315,12 @@ def play_game(
     V = [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]
     seen = _SeenSums(V, vm.values)
     # order[seat]: gift ids by descending value, for `best_target`'s walk;
-    # Python ints, since the walk indexes lists with them.
-    order = [None] + ((-vm.values).argsort(axis=1) + 1).tolist()
+    # a view per seat of one id array of the smallest type that holds n,
+    # whose items read as Python ints.
+    ids = (-vm.values).argsort(axis=1).astype(np.min_scalar_type(n))
+    ids += 1
+    flat_ids = memoryview(ids.reshape(-1))
+    order = [None] + [flat_ids[i:i + n] for i in range(0, n * n, n)]
 
     pi_on = Feature.PI in features
     sc_on = Feature.SC in features
@@ -350,8 +433,12 @@ def play_game(
     def round_end(st):
         frustration_decay(social, params.gamma_prime)
 
-    result = run_game(n, limits, decide, swap=swap, rng=rng,
-                      on_round_end=round_end if ad_on else None)
+    draws = _Draws(rng.bit_generator)
+    try:
+        result = run_game(n, limits, decide, swap=swap, rng=draws,
+                          on_round_end=round_end if ad_on else None)
+    finally:
+        draws.close()
     seat_values = tuple(
         V[seat][result.final_ownership[seat]] for seat in range(1, n + 1))
     return PlayedGame(result=result, strategies=assigned,

@@ -50,7 +50,8 @@ def best_target(state, actor: int, values: Sequence[float],
 
     `values` is any float sequence indexed by gift id (play passes a float64
     row view), `values[g]` the actor's true value of gift g, and `order` the
-    actor's gift ids by descending value, a list of ints. The walk skips the
+    actor's gift ids by descending value, any sequence of ints (play passes
+    a row view of one unsigned id array; a list does too). The walk skips the
     actor's own gift and every gift whose `GameState.takeable` flag is off:
     wrapped, chain-locked or at the lifetime cap. The net is the gift's
     value: a seat decides only when empty-handed (`apply_open` and
@@ -82,7 +83,8 @@ def best_target(state, actor: int, values: Sequence[float],
     gift sits at the row maximum, is the lowest seat whose `offer` entry is
     such a gift: `translate` maps each seat's entry through the table (an
     entry of 0 to 0), and `find` returns the first 1 from seat 1 on. With
-    no such seat the walk runs as above.
+    no such seat, every gift of the tie is wrapped, chain-locked or capped,
+    and the walk runs as above from the first id below the tie.
     """
     if top and social is None and state.offer is not None \
             and state.ownership[actor] is None:
@@ -90,6 +92,9 @@ def best_target(state, actor: int, values: Sequence[float],
         if seat > 0:
             value = values[order[0]]
             return seat, value, value
+        # No seat offers a top gift, and the actor holds none: every gift of
+        # the tie, the first `top.count(1)` of `order`, is untakeable.
+        order = order[top.count(1):]
     holder, takeable = state.holder, state.takeable
     walk = iter(order)
     for g in walk:
@@ -140,7 +145,8 @@ def top_table(values: Sequence[float], order: Sequence[int]) -> bytes:
     """The `top` table `best_target` reads: 256 bytes with a 1 at each gift
     id whose value equals the row maximum, `values[order[0]]`, when two or
     more gifts share it; else empty, since a lone top gift is the walk's
-    first visit anyway. Gift ids must fit a byte."""
+    first visit anyway. `values` and `order` are as `best_target` takes
+    them; gift ids must fit a byte."""
     value = values[order[0]]
     if len(order) < 2 or values[order[1]] != value:
         return b""
@@ -162,7 +168,9 @@ C_DRAW_ABOVE = 64
 def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
                      rng, weight_row: Optional[np.ndarray] = None) -> int:
     """Pick a wrapped gift from `pool`: uniform when `weights` is None, else
-    by the selection weight indexed by gift id.
+    by the selection weight indexed by gift id. `rng` is a numpy Generator
+    or play's draws (`harness._Draws`): either returns the same numbers
+    from the same stream, so the gift does not depend on which.
 
     The weighted draw takes one `rng.random()`, scales it by the pool's
     total weight, and returns the first gift, in `pool` order, whose running
@@ -205,8 +213,9 @@ def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
 
     Each rule reads only its own inputs: MEAN_BASED reads `opened_mean`,
     THRESHOLD `threshold`, EXPECTED_VALUE `wrapped_mean`; whatever is passed
-    for the rest is ignored. Only COIN_FLIP consumes randomness, and only
-    when a target exists.
+    for the rest is ignored. Only COIN_FLIP consumes randomness, one
+    `rng.random()`, and only when a target exists; `rng` is a numpy
+    Generator or play's draws (`harness._Draws`).
     """
     if best is None or kind is ALWAYS_OPEN:
         return None

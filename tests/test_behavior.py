@@ -84,6 +84,17 @@ def social_cost(social, thief, victim, params=PARAMS):
     return -nets(state, thief, [0.0] * 6, social, params)[victim]
 
 
+def social_with(n, thief, victim, repeats, committed):
+    """A SocialState of `n` seats in which `thief` has stolen `repeats` times
+    from `victim` (through `note_steal`, the one writer of `history`) and
+    `committed` times in all."""
+    social = SocialState(n)
+    for _ in range(repeats):
+        social.note_steal(thief, victim)
+    social.steals_committed[thief] = committed
+    return social
+
+
 def test_first_steal_costs_base_awkwardness():
     social = SocialState(5)
     assert social_cost(social, 2, 3) == pytest.approx(0.05)
@@ -92,32 +103,22 @@ def test_first_steal_costs_base_awkwardness():
 def test_repeat_offender_cost():
     # 2 prior steals from the same victim plus 3 lifetime steals:
     # 0.05 + 0.05*2*2 + 0.1*3 = 0.55
-    social = SocialState(5)
-    social.history[2][3] = 2
-    social.steals_committed[2] = 3
+    social = social_with(5, 2, 3, repeats=2, committed=3)
     assert social_cost(social, 2, 3) == pytest.approx(0.55)
 
 
 def test_zero_base_cost_kills_relationship_term():
     params = BehaviorParams(c0=0.0)
-    social = SocialState(5)
-    social.history[2][3] = 7
-    social.steals_committed[2] = 4
+    social = social_with(5, 2, 3, repeats=7, committed=4)
     assert social_cost(social, 2, 3, params) == pytest.approx(0.1 * 4)
 
 
 @given(h=st.integers(0, 10), n=st.integers(0, 20))
 def test_social_cost_monotone_in_history_and_totals(h, n):
     """Property: cost never decreases as history or lifetime steals grow."""
-    social = SocialState(4)
-    social.history[1][2] = h
-    social.steals_committed[1] = n
-    base = social_cost(social, 1, 2)
-    social.history[1][2] = h + 1
-    assert social_cost(social, 1, 2) > base
-    social.history[1][2] = h
-    social.steals_committed[1] = n + 1
-    assert social_cost(social, 1, 2) > base
+    base = social_cost(social_with(4, 1, 2, h, n), 1, 2)
+    assert social_cost(social_with(4, 1, 2, h + 1, n), 1, 2) > base
+    assert social_cost(social_with(4, 1, 2, h, n + 1), 1, 2) > base
 
 
 # -- net utility ---------------------------------------------------------------
@@ -151,9 +152,7 @@ def test_net_utility_with_social_cost():
     state = build_two_owner_state()
     state.apply_steal(3, 1)
     state.apply_open(1, 3)
-    social = SocialState(4)
-    social.history[4][2] = 2
-    social.steals_committed[4] = 3
+    social = social_with(4, 4, 2, repeats=2, committed=3)
     values = [0.0, 0.4, 0.9, 0.1]
     got = nets(state, 4, values, social)[2]  # seat 4 holds nothing
     assert got == pytest.approx(0.9 - 0.55)

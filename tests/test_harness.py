@@ -1,5 +1,6 @@
 """Experiment harness: conditions, per-game seeding, aggregation, export."""
 
+import copy
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from giftex import engine, harness, strategies
-from giftex.behavior import BehaviorParams, Feature
+from giftex.behavior import ALL_FEATURES, BehaviorParams, Feature, SocialState
 from giftex.engine import (ActionRecord, GameState, Open, Steal, StealLimits,
                            Swap, replay)
 from giftex.errors import ConfigurationError
@@ -710,6 +711,147 @@ def test_draws_are_pinned_across_all_48_conditions():
                 digest.update(game_line(game).encode())
     assert digest.hexdigest() == (
         "9342f68cb98ce519fd6a35b1ed69c152d0e0a3a2543075456f3927054802e045")
+
+
+def test_draws_are_pinned_past_one_byte():
+    """One BASE and one FULL game per model at n = 256 and 300, the first
+    sizes past `OFFER_MAX_N` (no `offer`, no top tables) and past a byte of
+    gift id (uint16 order rows), digested as above; the digest was taken
+    before play read its orders as id views and its draws by the block."""
+    digest = hashlib.sha256()
+    for n in (256, 300):
+        cfg = ExperimentConfig(n_players=n, base_seed=n)
+        for mi, kind in enumerate(harness.MODEL_ORDER):
+            for mask, features in ((0, frozenset()), (15, ALL_FEATURES)):
+                game = play_game(n, cfg.limits, cfg.model_for(kind), features,
+                                 cfg.behavior, game_rng(n, 16 * mi + mask, 0))
+                digest.update(game_line(game).encode())
+    assert digest.hexdigest() == (
+        "b1b9684ac1f4451728b18da42dc80ac671ea481dc9a138b548c319f830db963b")
+
+
+DRAW_SPANS = (1, 2, 6, 29, 200, 1000, 2**31 + 1, 3 << 30, 2**32)
+
+
+def draw_script(seed, length, spans=DRAW_SPANS, p_random=0.4):
+    """`length` calls, each ("random",) or ("integers", span), drawn from
+    their own generator."""
+    rng = np.random.default_rng(seed)
+    return [("random",) if rng.random() < p_random
+            else ("integers", spans[int(rng.integers(0, len(spans)))])
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("script", [
+    [],
+    [("random",)] * 64,  # exactly one block: nothing to rewind
+    [("integers", 2**31 + 1)] * 150,  # Lemire's rejection about half the time
+    [("integers", 1)] * 5 + [("random",)] * 3,  # a span of 1 draws nothing
+    draw_script(1, 9),
+    draw_script(2, 300),
+    draw_script(3, 1000, p_random=0.1),
+])
+def test_play_draws_match_numpy_and_rewind_to_its_state(script):
+    """`_Draws` returns what numpy's `random()` and `integers(0, k)` return
+    on a deep copy of the same generator, in any mix, starting from a
+    buffered high half (left by an odd-sized `integers` draw). After
+    `close` the generator's state, and so its next draws, are numpy's."""
+    base = np.random.default_rng(2026)
+    base.integers(0, 6, size=7)
+    assert base.bit_generator.state["has_uint32"] == 1
+    ref, played = copy.deepcopy(base), copy.deepcopy(base)
+    draws = harness._Draws(played.bit_generator)
+    for call in script:
+        if call[0] == "random":
+            got, want = draws.random(), ref.random()
+            assert type(got) is float
+        else:
+            got, want = draws.integers(0, call[1]), ref.integers(0, call[1])
+            assert type(got) is int
+        assert got == want
+    draws.close()
+    assert played.bit_generator.state == ref.bit_generator.state
+    assert played.random() == ref.random()
+    assert played.integers(0, 29, size=3).tolist() == ref.integers(
+        0, 29, size=3).tolist()
+
+
+class NumpyDraws:
+    """Play's draws as numpy's own calls on the game's generator: the path
+    `_Draws` must match draw for draw, and in the state it leaves."""
+
+    def __init__(self, bit_generator):
+        self.gen = np.random.Generator(bit_generator)
+
+    def random(self):
+        return self.gen.random()
+
+    def integers(self, low, high):
+        return self.gen.integers(low, high)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("n", [29, 30, 200])
+def test_play_leaves_the_generator_where_numpy_calls_do(monkeypatch, n):
+    """BASE, BS alone (the weighted open) and FULL under each model, at an
+    odd and an even n (the strategy draw leaves a buffered half only at odd
+    n) and at 200: the same game, and the same generator state after it,
+    as with every draw made by numpy."""
+    cfg = ExperimentConfig(n_players=n)
+    for kind in ModelKind:
+        model = cfg.model_for(kind)
+        for features in (frozenset(), frozenset({Feature.BS}), ALL_FEATURES):
+            fast = game_rng(5, n, len(features))
+            slow = game_rng(5, n, len(features))
+            game = play_game(n, cfg.limits, model, features, cfg.behavior,
+                             fast)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_Draws", NumpyDraws)
+                want = play_game(n, cfg.limits, model, features, cfg.behavior,
+                                 slow)
+            assert game_line(game) == game_line(want)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_play_refuses_a_generator_it_cannot_read_by_the_word():
+    """Only PCG64's raw words make numpy's doubles and bounded ints as
+    `_Draws` builds them; any other bit generator is refused before a
+    draw."""
+    rng = np.random.Generator(np.random.MT19937(7))
+    untouched = copy.deepcopy(rng)
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        play_game(5, SMALL.limits, SMALL.model_for(ModelKind.INDEPENDENT),
+                  frozenset(), SMALL.behavior, rng)
+    assert rng.random(4).tolist() == untouched.random(4).tolist()
+
+
+def test_history_holds_rows_exactly_for_the_thieves(monkeypatch):
+    """After a FULL game, a seat has its own SC history row exactly when it
+    stole, and the row's counts add up to its steals."""
+    made = []
+
+    class Recorded(SocialState):
+        __slots__ = ()
+
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "SocialState", Recorded)
+    cfg = ExperimentConfig(n_players=60)
+    for mi, kind in enumerate(ModelKind):
+        game = play_game(60, cfg.limits, cfg.model_for(kind), ALL_FEATURES,
+                         cfg.behavior, game_rng(3, 16 * mi + 15, 0))
+        social = made[-1]
+        rows = [s for s, row in enumerate(social.history)
+                if type(row) is list]
+        thieves = [s for s, c in enumerate(social.steals_committed) if c > 0]
+        assert rows == thieves and len(rows) > 1
+        assert [sum(social.history[s]) for s in rows] == [
+            social.steals_committed[s] for s in rows]
+        assert sum(social.steals_committed) == game.result.steal_count
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

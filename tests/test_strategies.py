@@ -143,6 +143,15 @@ def shuffled_order(values, rng):
     return sorted(range(1, len(values)), key=lambda g: (-values[g], keys[g]))
 
 
+ID_TYPES = (None, np.uint8, np.uint16)
+
+
+def id_rows(order, dtype):
+    """`order` as `play_game` passes it: a view of an unsigned id array
+    (`dtype` None keeps the list)."""
+    return order if dtype is None else memoryview(np.array(order, dtype))
+
+
 def list_rows(values):
     """V[seat][gift] as lists of floats, row and column 0 unused."""
     return [None] + [[0.0] + row for row in values.tolist()]
@@ -164,10 +173,11 @@ def view_rows(values):
 def test_sorted_walk_matches_full_scan(kind, quantized, rows):
     """Property: over random reachable states, `best_target` equals the full
     scan exactly, SC off and on, under lifetime caps 0, 1 and 2, reading
-    the rows as lists and as the float64 views play passes, with and
-    without the actor's top table. The correlated and negative models clip
-    to exact 0.0 and 1.0 and the quantized rows take five values, so ties
-    are common; every actor is scanned, holding a gift or not."""
+    the rows as lists and as the float64 views play passes, the orders as
+    lists and as uint8 and uint16 id views, with and without the actor's
+    top table. The correlated and negative models clip to exact 0.0 and
+    1.0 and the quantized rows take five values, so ties are common; every
+    actor is scanned, holding a gift or not."""
     rng = np.random.default_rng([13, len(kind.value), quantized])
     ties = 0
     for trial in range(24):
@@ -182,23 +192,27 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                                 beta=float(rng.choice([0.0, 0.1])))
         social = SocialState(n)
         for thief in range(1, n + 1):
-            social.steals_committed[thief] = int(rng.integers(0, 4))
+            committed = int(rng.integers(0, 4))
             for victim in range(1, n + 1):
-                social.history[thief][victim] = int(rng.integers(0, 3))
+                for _ in range(int(rng.integers(0, 3))):
+                    social.note_steal(thief, victim)
+            social.steals_committed[thief] = committed
         while not state.swap_pending:
             for actor in range(1, n + 1):
                 row = V[actor]
-                order = shuffled_order(row, rng)
+                listed = shuffled_order(row, rng)
                 ties += len(set(row[1:])) < n
                 table = tie_table(row)
-                assert top_table(row, order) == (
-                    table if sum(table) > 1 else b"")
                 for sc in (None, social):
                     want = full_scan(state, actor, row, sc, params)
-                    assert best_target(state, actor, row, order, sc,
-                                       params) == want
-                    assert best_target(state, actor, row, order, sc,
-                                       params, table) == want
+                    for ids in ID_TYPES:
+                        order = id_rows(listed, ids)
+                        assert top_table(row, order) == (
+                            table if sum(table) > 1 else b"")
+                        assert best_target(state, actor, row, order, sc,
+                                           params) == want
+                        assert best_target(state, actor, row, order, sc,
+                                           params, table) == want
             actor = state.round if state.displaced is None else state.displaced
             actions = state.legal_actions(actor)
             action = actions[int(rng.integers(0, len(actions)))]
@@ -208,6 +222,32 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                 state.apply_steal(actor, action.victim)
     if quantized or kind is not ModelKind.INDEPENDENT:
         assert ties  # the tie-break was exercised
+
+
+@pytest.mark.parametrize("ids", ID_TYPES)
+def test_a_scan_past_an_untakeable_top_tie_matches_full_scan(ids):
+    """Seat 4, displaced and empty-handed, values gifts 1, 4 and 6 at its
+    top, 1.0: gift 1 is at its lifetime cap, gift 4 chain-locked and gift 6
+    wrapped. No seat offers a top gift, so the table's lookup finds none
+    and the walk starts below the tie, where gift 3 (seat 3, 0.9) wins over
+    gift 2 (seat 1, 0.8): starting one id later would answer seat 1."""
+    state = GameState(8, StealLimits(1, 1))
+    state.apply_open(1, 1)
+    state.apply_steal(2, 1)  # gift 1 to seat 2, at the cap of 1
+    state.apply_open(1, 2)
+    state.apply_open(3, 3)
+    state.apply_open(4, 4)
+    state.apply_steal(5, 4)  # gift 4 to seat 5, locked; seat 4 displaced
+    values = [0.0, 1.0, 0.8, 0.9, 1.0, 0.1, 1.0, 0.2, 0.3]
+    table = tie_table(values)
+    assert state.offer.translate(table).find(1, 1) == -1
+    want = full_scan(state, 4, values, None, PARAMS)
+    assert want == (3, 0.9, 0.9)
+    for tie in ([1, 4, 6], [6, 4, 1], [4, 1, 6]):
+        order = id_rows(tie + [3, 2, 8, 7, 5], ids)
+        assert top_table(values, order) == table
+        assert best_target(state, 4, values, order, None, PARAMS,
+                           table) == want
 
 
 def test_played_games_scan_as_the_full_scan(monkeypatch):
@@ -431,6 +471,14 @@ def test_played_opens_draw_as_the_reference(monkeypatch, tau):
     draw, reweigh = harness.choose_open_gift, harness.selection_weights
     seen = {"c_draws": 0, "weightings": 0}
 
+    def position(draws):
+        """How far play's draws object has read: its generator's state (it
+        moves a block at a time), the block's unread words and the
+        buffered half."""
+        assert type(draws) is harness._Draws
+        return (draws.source.state, len(draws.words), draws.has_half,
+                draws.half)
+
     def counted_weights(values, tau):
         seen["weightings"] += 1
         return reweigh(values, tau)
@@ -447,7 +495,7 @@ def test_played_opens_draw_as_the_reference(monkeypatch, tau):
         gift = draw(pool, weights, rng, weight_row)
         if expected is not None:
             assert gift == expected
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert position(rng) == position(ref_rng)
         return gift
 
     monkeypatch.setattr(harness, "choose_open_gift", checked_draw)
