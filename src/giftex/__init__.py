@@ -22,9 +22,10 @@ from .engine import (STANDARD_LIMITS, ActionRecord, GameResult, GameState,
 from .errors import (ConfigurationError, GiftexError, IllegalMoveError,
                      PhaseError)
 from .harness import (Condition, ConditionSummary, ExperimentConfig,
-                      PlayedGame, compute_effects, enumerate_conditions,
-                      export, game_rng, game_trace, load_config, play_game,
-                      run_condition, run_experiment)
+                      GameInputs, PlayedGame, compute_effects, draw_inputs,
+                      enumerate_conditions, export, game_rng, game_trace,
+                      load_config, play, play_game, run_condition,
+                      run_experiment)
 from .strategies import (STRATEGY_ORDER, Strategy, best_target,
                          choose_open_gift, decide)
 from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,

@@ -3,8 +3,8 @@
 The factorial crosses all 16 feature subsets with the three valuation models
 (48 conditions). Every game gets its own generator seeded from
 ``(base_seed, condition index, game index)``, so results are independent of
-execution order and worker count; per-game draws happen in a fixed order:
-valuation matrix, appearance signals, strategy assignment, then gameplay.
+execution order and worker count; a game is ``draw_inputs``, whose draws no
+feature changes, then ``play`` on the same generator.
 
 Per-game metrics: total steals, chain lengths, each seat's true value of its
 final gift, and the same values grouped by strategy. Seat and strategy metrics
@@ -157,15 +157,22 @@ def enumerate_conditions(config: ExperimentConfig) -> list[Condition]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlayedGame:
-    """A finished game plus what the metrics need: strategy per seat and each
-    seat's true value of its final gift (index 0 = seat 1)."""
+class GameInputs:
+    """One game's drawn inputs, which no feature changes (index 0 = seat 1)."""
 
-    result: GameResult
-    strategies: tuple[Strategy, ...]
-    seat_values: tuple[float, ...]
     valuations: ValuationMatrix
     appearance: AppearanceVector
+    strategies: tuple[Strategy, ...]
+
+
+@dataclass(frozen=True)
+class PlayedGame:
+    """A finished game, the inputs it was played from, and each seat's true
+    value of its final gift (index 0 = seat 1)."""
+
+    result: GameResult
+    inputs: GameInputs
+    seat_values: tuple[float, ...]
 
 
 class _SeenSums:
@@ -222,12 +229,13 @@ class _Draws:
     `random()` in between leaves alone. `close` hands the generator back
     exactly where numpy's calls would have left it."""
 
-    __slots__ = ("source", "words", "has_half", "half")
+    __slots__ = ("source", "start", "words", "fetched", "has_half", "half")
 
     def __init__(self, bit_generator: np.random.PCG64) -> None:
-        state = bit_generator.state
+        state = self.start = bit_generator.state
         self.source = bit_generator
         self.words: list[int] = []  # the block's unread words, last first
+        self.fetched = 0  # words taken from the generator
         # numpy's `has_uint32` and `uinteger`: the buffered high half, and
         # the last one buffered, kept after it is read, as numpy keeps it.
         self.has_half = state["has_uint32"]
@@ -235,6 +243,7 @@ class _Draws:
 
     def _fetch(self) -> int:
         """Fetch a block; return its first word."""
+        self.fetched += _DRAW_BLOCK
         words = self.words = self.source.random_raw(
             _DRAW_BLOCK).tolist()
         words.reverse()
@@ -266,15 +275,19 @@ class _Draws:
         return low + (m >> 32)
 
     def close(self) -> None:
-        """Rewind the generator over the fetched words no draw read, and set
-        its buffered half to this object's."""
-        bit_generator = self.source
-        unused = len(self.words)
-        if unused:
-            bit_generator.advance((1 << 128) - unused)  # modulo 2**128
-        state = bit_generator.state
+        """Set the generator back to its start state with this object's
+        buffered half, then step it over the words the draws read."""
+        state = self.start
         state["has_uint32"], state["uinteger"] = self.has_half, self.half
-        bit_generator.state = state
+        self.source.state = state
+        self.source.random_raw(self.fetched - len(self.words), output=False)
+
+
+def _require_pcg64(rng: np.random.Generator) -> None:
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ConfigurationError(
+            "play needs a PCG64 generator, got "
+            f"{type(rng.bit_generator).__name__}")
 
 
 def play_game(
@@ -284,27 +297,33 @@ def play_game(
     features: frozenset[Feature],
     params: BehaviorParams,
     rng: np.random.Generator,
-    fixed_strategy: Optional[Strategy] = None,
 ) -> PlayedGame:
-    """Assemble and play one decorated game.
+    """Draw one game's inputs and play them; a non-PCG64 `rng` is refused
+    before any draw."""
+    _require_pcg64(rng)
+    return play(draw_inputs(model, n, params, rng), limits, features, params,
+                rng)
 
-    `fixed_strategy` pins every seat to one strategy (test fixtures); normal
-    play assigns strategies uniformly at random per seat. `rng` must be a
-    PCG64 generator (`default_rng`'s): after the input draws, play's scalar
-    draws read its raw words through `_Draws`, which leaves it where
-    numpy's own calls would.
-    """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise ConfigurationError(
-            "play needs a PCG64 generator, got "
-            f"{type(rng.bit_generator).__name__}")
+
+def draw_inputs(model: ValuationModel, n: int, params: BehaviorParams,
+                rng: np.random.Generator) -> GameInputs:
+    """Draw one game's inputs, in this fixed order: the valuation matrix, the
+    appearance signals, then each seat's strategy, uniform per seat."""
     vm = generate_valuations(model, n, rng)
     app = generate_appearance(vm.quality, params.sigma_a, rng)
-    if fixed_strategy is None:
-        codes = rng.integers(0, len(STRATEGY_ORDER), size=n)
-        assigned = tuple(map(STRATEGY_ORDER.__getitem__, codes.tolist()))
-    else:
-        assigned = (fixed_strategy,) * n
+    codes = rng.integers(0, len(STRATEGY_ORDER), size=n)
+    return GameInputs(vm, app,
+                      tuple(map(STRATEGY_ORDER.__getitem__, codes.tolist())))
+
+
+def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
+         params: BehaviorParams, rng: np.random.Generator) -> PlayedGame:
+    """Play one decorated game from its inputs. `rng` must be a PCG64
+    generator (`default_rng`'s): play's scalar draws read its raw words
+    through `_Draws`, which leaves it where numpy's own calls would."""
+    _require_pcg64(rng)
+    vm, app, assigned = inputs.valuations, inputs.appearance, inputs.strategies
+    n = len(assigned)
     by_seat = (None,) + assigned  # seat-indexed
 
     padded = np.zeros((n + 1, n + 1))
@@ -441,8 +460,7 @@ def play_game(
         draws.close()
     seat_values = tuple(
         V[seat][result.final_ownership[seat]] for seat in range(1, n + 1))
-    return PlayedGame(result=result, strategies=assigned,
-                      seat_values=seat_values, valuations=vm, appearance=app)
+    return PlayedGame(result=result, inputs=inputs, seat_values=seat_values)
 
 
 def game_rng(base_seed: int, condition_index: int, game_index: int) -> np.random.Generator:
@@ -464,9 +482,9 @@ def game_trace(game: PlayedGame) -> dict:
         records.append(record)
     return {
         "players": game.result.n,
-        "valuations": game.valuations.to_jsonable(),
-        "appearance": game.appearance.to_jsonable(),
-        "strategies": [s.value for s in game.strategies],
+        "valuations": game.inputs.valuations.to_jsonable(),
+        "appearance": game.inputs.appearance.to_jsonable(),
+        "strategies": [s.value for s in game.inputs.strategies],
         "trajectory": records,
         "final_ownership": {str(k): v for k, v in
                             sorted(game.result.final_ownership.items())},
@@ -513,7 +531,7 @@ def run_condition(condition: Condition, config: ExperimentConfig) -> ConditionSu
         chains = game.result.chain_lengths
         chains_total += len(chains) - chains.count(0)
         for seat, (value, strat) in enumerate(
-                zip(game.seat_values, game.strategies)):
+                zip(game.seat_values, game.inputs.strategies)):
             seat_sums[seat] += value
             cell = strat_cells[strat._value_]
             cell[0] += value

@@ -24,13 +24,25 @@ from giftex.engine import (ActionRecord, GameState, Open, Steal, StealLimits,
                            Swap, replay)
 from giftex.errors import ConfigurationError
 from giftex.harness import (Condition, ConditionSummary, ExperimentConfig,
-                            compute_effects, enumerate_conditions, export,
-                            game_rng, game_trace, load_config, play_game,
-                            run_condition, run_experiment)
+                            GameInputs, compute_effects, draw_inputs,
+                            enumerate_conditions, export, game_rng, game_trace,
+                            load_config, play, play_game, run_condition,
+                            run_experiment)
 from giftex.strategies import STRATEGY_ORDER, Strategy
-from giftex.valuation import ModelKind
+from giftex.valuation import (ModelKind, generate_appearance,
+                              generate_valuations)
 
 SMALL = ExperimentConfig(n_players=8, games_per_condition=20, base_seed=7)
+
+
+def play_fixed(n, limits, model, features, params, rng, strategy):
+    """A game with every seat on `strategy`: the valuations and appearance
+    drawn from `rng` as `draw_inputs` draws them, no strategy draw, then
+    `play` from the same generator."""
+    vm = generate_valuations(model, n, rng)
+    app = generate_appearance(vm.quality, params.sigma_a, rng)
+    return play(GameInputs(vm, app, (strategy,) * n), limits, features,
+                params, rng)
 
 
 # -- conditions -----------------------------------------------------------------
@@ -184,7 +196,8 @@ def test_play_game_is_seed_deterministic():
                   game_rng(7, 3, 11))
     b = play_game(8, cfg.limits, model, frozenset({Feature.SC}), cfg.behavior,
                   game_rng(7, 3, 11))
-    assert a.result == b.result and a.strategies == b.strategies
+    assert a.result == b.result
+    assert a.inputs.strategies == b.inputs.strategies
 
 
 def test_different_game_indices_differ():
@@ -203,7 +216,7 @@ def test_seat_values_are_true_values_of_final_gifts():
     for seat in range(1, 9):
         gift = game.result.final_ownership[seat]
         assert game.seat_values[seat - 1] == pytest.approx(
-            game.valuations.values[seat - 1, gift - 1])
+            game.inputs.valuations.values[seat - 1, gift - 1])
 
 
 def test_a_large_game_holds_no_python_float_per_value():
@@ -230,11 +243,11 @@ def test_base_and_pi_only_identical_for_always_steal_population():
     cfg = SMALL
     model = cfg.model_for(ModelKind.CORRELATED)
     for idx in range(10):
-        base = play_game(8, cfg.limits, model, frozenset(), cfg.behavior,
-                         game_rng(7, 5, idx), fixed_strategy=Strategy.ALWAYS_STEAL)
-        pi = play_game(8, cfg.limits, model, frozenset({Feature.PI}),
-                       cfg.behavior, game_rng(7, 5, idx),
-                       fixed_strategy=Strategy.ALWAYS_STEAL)
+        base = play_fixed(8, cfg.limits, model, frozenset(), cfg.behavior,
+                          game_rng(7, 5, idx), Strategy.ALWAYS_STEAL)
+        pi = play_fixed(8, cfg.limits, model, frozenset({Feature.PI}),
+                        cfg.behavior, game_rng(7, 5, idx),
+                        Strategy.ALWAYS_STEAL)
         assert base.result == pi.result
 
 
@@ -255,9 +268,9 @@ def test_biased_selection_at_large_temperature_stays_by_weight():
     # are open, and a draw over a zero total lands on the highest remaining id.
     params = BehaviorParams(tau=1000.0)
     model = ExperimentConfig().model_for(ModelKind.INDEPENDENT)
-    game = play_game(6, StealLimits(), model, frozenset({Feature.BS}), params,
-                     game_rng(2, 0, 0), fixed_strategy=Strategy.ALWAYS_OPEN)
-    signals = game.appearance.signals
+    game = play_fixed(6, StealLimits(), model, frozenset({Feature.BS}), params,
+                      game_rng(2, 0, 0), Strategy.ALWAYS_OPEN)
+    signals = game.inputs.appearance.signals
     assert np.diff(np.sort(signals)).min() > 0.05
     opened = [gift for *_, gift in game.result.trajectory[:-1]]
     assert opened == [int(g) + 1 for g in np.argsort(-signals)]
@@ -274,13 +287,14 @@ def test_game_trace_is_json_serializable(decode_block):
     assert doc["players"] == 8
     assert len(doc["trajectory"]) == len(game.result.trajectory)
     assert doc["steal_count"] == game.result.steal_count
-    assert doc["strategies"] == [s.value for s in game.strategies]
+    inputs = game.inputs
+    assert doc["strategies"] == [s.value for s in inputs.strategies]
     assert doc["valuations"]["model"] == "negative"
     assert doc["appearance"]["noise_sd"] == cfg.behavior.sigma_a
     for decoded, original in (
-            (doc["valuations"]["values"], game.valuations.values),
-            (doc["valuations"]["quality"], game.valuations.quality),
-            (doc["appearance"]["signals"], game.appearance.signals)):
+            (doc["valuations"]["values"], inputs.valuations.values),
+            (doc["valuations"]["quality"], inputs.valuations.quality),
+            (doc["appearance"]["signals"], inputs.appearance.signals)):
         decoded = decode_block(decoded)
         assert decoded.dtype == original.dtype
         assert decoded.shape == original.shape
@@ -303,9 +317,9 @@ def test_a_trace_rebuilt_with_fresh_actions_replays():
     """A trace read back from JSON, rebuilt with new action objects, replays:
     replay compares actions by value, not by the play's shared instances."""
     cfg = SMALL
-    game = play_game(8, cfg.limits, cfg.model_for(ModelKind.CORRELATED),
-                     frozenset(), cfg.behavior, game_rng(7, 16, 0),
-                     fixed_strategy=Strategy.ALWAYS_STEAL)
+    game = play_fixed(8, cfg.limits, cfg.model_for(ModelKind.CORRELATED),
+                      frozenset(), cfg.behavior, game_rng(7, 16, 0),
+                      Strategy.ALWAYS_STEAL)
     doc = json.loads(json.dumps(game_trace(game)))
     make = {"open": lambda r: Open(r["gift"]),
             "steal": lambda r: Steal(r["victim"]),
@@ -348,9 +362,10 @@ def test_play_hands_out_one_frozen_action_per_id():
     """Every game of a process returns the same immutable Open(g) and
     Steal(s) objects, equal to freshly built ones."""
     def actions(game_index):
-        game = play_game(8, SMALL.limits, SMALL.model_for(ModelKind.CORRELATED),
-                         frozenset(), SMALL.behavior, game_rng(7, 16, game_index),
-                         fixed_strategy=Strategy.COIN_FLIP)
+        game = play_fixed(8, SMALL.limits,
+                          SMALL.model_for(ModelKind.CORRELATED), frozenset(),
+                          SMALL.behavior, game_rng(7, 16, game_index),
+                          Strategy.COIN_FLIP)
         return {(type(a), a): a for _, a, *_ in game.result.trajectory[:-1]}
 
     first, second = actions(0), actions(1)
@@ -542,13 +557,13 @@ def test_always_open_seats_never_scan(monkeypatch):
         scanned.clear()
         game = play_game(29, SMALL.limits, model, features, SMALL.behavior,
                          game_rng(7, 0, idx))
-        openers = {seat for seat, s in enumerate(game.strategies, 1)
+        openers = {seat for seat, s in enumerate(game.inputs.strategies, 1)
                    if s is Strategy.ALWAYS_OPEN}
         assert openers and scanned
         assert openers.isdisjoint(scanned)
         scanned.clear()
-        play_game(8, SMALL.limits, model, features, SMALL.behavior,
-                  game_rng(7, 1, idx), fixed_strategy=Strategy.ALWAYS_OPEN)
+        play_fixed(8, SMALL.limits, model, features, SMALL.behavior,
+                   game_rng(7, 1, idx), Strategy.ALWAYS_OPEN)
         assert scanned == []
 
 
@@ -685,7 +700,7 @@ def game_line(game) -> str:
         f"{actor},{type(action).__name__},{k},{position},{gift},"
         f"{getattr(action, 'victim', getattr(action, 'partner', ''))}"
         for actor, action, k, position, gift in game.result.trajectory)
-    strats = ",".join(s.value for s in game.strategies)
+    strats = ",".join(s.value for s in game.inputs.strategies)
     values = ",".join(v.hex() for v in game.seat_values)
     return f"{moves}|{strats}|{game.result.steal_count}|{values}\n"
 
@@ -825,6 +840,40 @@ def test_play_refuses_a_generator_it_cannot_read_by_the_word():
         play_game(5, SMALL.limits, SMALL.model_for(ModelKind.INDEPENDENT),
                   frozenset(), SMALL.behavior, rng)
     assert rng.random(4).tolist() == untouched.random(4).tolist()
+
+
+def test_play_from_inputs_refuses_a_generator_it_cannot_read_by_the_word():
+    inputs = draw_inputs(SMALL.model_for(ModelKind.INDEPENDENT), 5,
+                         SMALL.behavior, game_rng(7, 0, 0))
+    rng = np.random.Generator(np.random.MT19937(7))
+    untouched = copy.deepcopy(rng)
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        play(inputs, SMALL.limits, frozenset(), SMALL.behavior, rng)
+    assert rng.random(4).tolist() == untouched.random(4).tolist()
+
+
+@pytest.mark.parametrize("n", [7, 65])
+def test_inputs_do_not_depend_on_the_features(n):
+    """All 16 feature subsets of a model, played from one game key, play
+    from the inputs `draw_inputs` makes on a fresh generator of that key,
+    bit for bit."""
+    cfg = ExperimentConfig(n_players=n)
+    for mi, kind in enumerate(harness.MODEL_ORDER):
+        model = cfg.model_for(kind)
+        want = draw_inputs(model, n, cfg.behavior, game_rng(3, 16 * mi, n))
+        for cond in enumerate_conditions(cfg)[16 * mi:16 * mi + 16]:
+            got = play_game(n, cfg.limits, model, cond.features, cfg.behavior,
+                            game_rng(3, 16 * mi, n)).inputs
+            assert got.strategies == want.strategies
+            for a, b in ((got.valuations, want.valuations),
+                         (got.appearance, want.appearance)):
+                for field in fields(a):
+                    x, y = getattr(a, field.name), getattr(b, field.name)
+                    if isinstance(x, np.ndarray):
+                        assert x.dtype == y.dtype and x.shape == y.shape
+                        assert x.tobytes() == y.tobytes()
+                    else:
+                        assert x == y
 
 
 def test_history_holds_rows_exactly_for_the_thieves(monkeypatch):

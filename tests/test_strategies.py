@@ -147,7 +147,7 @@ ID_TYPES = (None, np.uint8, np.uint16)
 
 
 def id_rows(order, dtype):
-    """`order` as `play_game` passes it: a view of an unsigned id array
+    """`order` as `play` passes it: a view of an unsigned id array
     (`dtype` None keeps the list)."""
     return order if dtype is None else memoryview(np.array(order, dtype))
 
@@ -158,7 +158,7 @@ def list_rows(values):
 
 
 def view_rows(values):
-    """V[seat][gift] as `play_game` builds it: one float64 view per row of
+    """V[seat][gift] as `play` builds it: one float64 view per row of
     the zero-padded matrix."""
     n = len(values)
     padded = np.zeros((n + 1, n + 1))

@@ -29,4 +29,9 @@ def test_traced_game_and_count_reach_every_layer():
                  "engine.GameState.apply_steal", "engine.GameState.apply_open",
                  "harness.play_game", "counting.count_chains"):
         assert tracer.calls[name] > 0, name
+    # The input draws are looked up in harness's namespace, where the
+    # tracer patches them: once each for the one game.
+    for name in ("valuation.generate_valuations",
+                 "valuation.generate_appearance"):
+        assert tracer.calls[name] == 1, name
     assert harness.run_game is engine.run_game  # patches undone on exit
