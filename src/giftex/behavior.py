@@ -8,8 +8,8 @@ The four toggleable features:
   signals and a Gaussian posterior instead of their true values.
 * SC -- social costs: each steal carries a norm-violation cost that grows with
   repeat targeting of the same victim and with the thief's lifetime steals.
-* AD -- adaptive dynamics: a clipped linear model of phase, frustration, and
-  satisfaction gates each steal/open decision.
+* AD -- adaptive dynamics: a clipped linear model of phase and frustration
+  gates each steal/open decision.
 * BS -- biased selection: opening picks among wrapped gifts by softmax weight
   instead of uniformly.
 """
@@ -71,7 +71,10 @@ class BehaviorParams:
     p0: float = 0.5           # base steal probability (linear-clip intercept)
     lambda1: float = 0.2      # phase coefficient
     lambda2: float = 0.5      # frustration coefficient
-    lambda3: float = 0.3      # satisfaction coefficient
+    # Satisfaction coefficient, read by nothing: a seat decides only when
+    # empty-handed. Validated and echoed until a benchmark change rewrites
+    # `perfbench/pins.json`, whose factorial JSON hashes hold the echo.
+    lambda3: float = 0.3
     # biased selection
     tau: float = 2.0          # softmax temperature
     # beliefs
@@ -124,14 +127,13 @@ class SocialState:
         self.steals_committed[thief] += 1
 
 
-def frustration_on_theft(social: SocialState, victim: int, gamma: float) -> SocialState:
+def frustration_on_theft(social: SocialState, victim: int, gamma: float) -> None:
     """Bump the victim's frustration by gamma, capped at 1."""
     social.frustration[victim] = min(1.0, social.frustration[victim] + gamma)
     social.frustrated.add(victim)
-    return social
 
 
-def frustration_decay(social: SocialState, gamma_prime: float) -> SocialState:
+def frustration_decay(social: SocialState, gamma_prime: float) -> None:
     """Decay every player's frustration by gamma_prime, floored at 0.
 
     Called once at each round's end; applies to thieves and victims alike.
@@ -143,20 +145,12 @@ def frustration_decay(social: SocialState, gamma_prime: float) -> SocialState:
         fr[i] = max(0.0, fr[i] - gamma_prime)
         if fr[i] == 0.0:
             frustrated.remove(i)
-    return social
 
 
-def adaptive_prob_linear(
-    p0: float, phase: float, frustration: float, satisfaction: float,
-    lambda1: float, lambda2: float, lambda3: float,
-) -> float:
-    """Clipped linear steal probability used by the simulation.
-
-    `satisfaction` is the actor's value of the gift it holds. Only an
-    empty-handed seat ever opens or steals (`apply_open` and `apply_steal`
-    refuse an actor holding a gift), so in a played game it is always 0.0
-    and the `lambda3` term never moves the gate."""
-    p = p0 + lambda1 * phase + lambda2 * frustration - lambda3 * satisfaction
+def adaptive_prob_linear(p0: float, phase: float, frustration: float,
+                         lambda1: float, lambda2: float) -> float:
+    """Clipped linear steal probability used by the simulation."""
+    p = p0 + lambda1 * phase + lambda2 * frustration
     return min(0.95, max(0.05, p))
 
 

@@ -153,7 +153,7 @@ class GameState:
 
     # -- transitions ------------------------------------------------------
 
-    def apply_open(self, actor: int, gift: int) -> "GameState":
+    def apply_open(self, actor: int, gift: int) -> None:
         """Open `gift`, ending the current chain and the round."""
         if self.swap_pending or self.concluded:
             raise PhaseError("cannot open after the last round")
@@ -184,9 +184,8 @@ class GameState:
             self.swap_pending = True
         else:
             self.round += 1
-        return self
 
-    def apply_steal(self, thief: int, victim: int) -> "GameState":
+    def apply_steal(self, thief: int, victim: int) -> None:
         """Steal the victim's gift; the victim becomes the displaced actor."""
         if self.swap_pending or self.concluded:
             raise PhaseError("cannot steal after the last round")
@@ -210,9 +209,8 @@ class GameState:
             self.offer[victim] = 0  # the thief's new gift is locked
         self.total_steals[gift] += 1
         self.displaced = victim
-        return self
 
-    def final_swap(self, partner: Optional[int]) -> "GameState":
+    def final_swap(self, partner: Optional[int]) -> None:
         """Seat 1's optional trade. No chain, no locks, no counter updates."""
         if self.concluded:
             raise PhaseError("game already concluded")
@@ -230,7 +228,6 @@ class GameState:
                 offer[1], offer[partner] = offer[partner], offer[1]
         self.swap_pending = False
         self.concluded = True
-        return self
 
 
 @dataclass(frozen=True)

@@ -320,10 +320,17 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
          params: BehaviorParams, rng: np.random.Generator) -> PlayedGame:
     """Play one decorated game from its inputs. `rng` must be a PCG64
     generator (`default_rng`'s): play's scalar draws read its raw words
-    through `_Draws`, which leaves it where numpy's own calls would."""
+    through `_Draws`, which leaves it where numpy's own calls would. The
+    inputs' parts must agree on the seat count, that of `strategies`."""
     _require_pcg64(rng)
     vm, app, assigned = inputs.valuations, inputs.appearance, inputs.strategies
     n = len(assigned)
+    require_int("player count", n, 1)
+    for part, shape, want in (("valuations.values", vm.values.shape, (n, n)),
+                              ("appearance.signals", app.signals.shape, (n,))):
+        if shape != want:
+            raise ConfigurationError(
+                f"{part} has shape {shape}, not {want} for {n} strategies")
     by_seat = (None,) + assigned  # seat-indexed
 
     padded = np.zeros((n + 1, n + 1))
@@ -373,13 +380,11 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
     if not sc_on and strategies.TOP_TABLE_ABOVE < n <= OFFER_MAX_N:
         tops = [None] * (n + 1)
 
-    p0, l1, l2, l3 = params.p0, params.lambda1, params.lambda2, params.lambda3
+    p0, l1, l2 = params.p0, params.lambda1, params.lambda2
     threshold = params.threshold
     inv_n = 1.0 / n
     opens, steals = shared_actions(n)
 
-    # An actor is always empty-handed (`apply_open` and `apply_steal` refuse
-    # one holding a gift), so the AD gate's satisfaction is the literal 0.0.
     def decide(st, actor, game_rng):
         nonlocal ce_wrapped_sum, wrapped_weight
         kind = by_seat[actor]
@@ -389,7 +394,7 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
         # closed gate opens without consulting the strategy, and an
         # always_open seat opens without scanning.
         if (not ad_on or game_rng.random() < adaptive_prob_linear(
-                p0, st.round * inv_n, frustration[actor], 0.0, l1, l2, l3)
+                p0, st.round * inv_n, frustration[actor], l1, l2)
                 ) and kind is not ALWAYS_OPEN:
             top = b""
             if tops is not None:

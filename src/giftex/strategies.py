@@ -6,15 +6,16 @@ gift) triple; `best_target` finds the one with maximal net utility, ties
 broken toward the lowest seat, and `decide` reads only that winner. The scan
 walks the actor's value row in descending order, sorted once per game, and
 stops as soon as no remaining gift can win, so a decision seldom looks at
-every opened gift. It runs in two phases: up to the first takeable gift the
-actor does not hold, then on from there. With SC off the net is the
-value, and the values only fall along the order, so a later gift can win
-only by an equal value with a lower seat; that phase reads values alone and
-reads a holder only on an exact tie. With SC on it keeps the bounded walk
-over net utilities. With SC off and a table of the gifts tied at the
-actor's top value, a takeable gift in that tie is found without a walk, by
-one lookup of the engine's seat-indexed `offer` bytes. All "exceeds"
-comparisons are strict, so exact ties favor opening.
+every opened gift. A seat holding a gift has no decision (`apply_steal`
+refuses such a thief), so the scan answers it None at once. The walk runs in
+two phases: up to the first takeable gift, then on from there. With SC off
+the net is the value, and the values only fall along the order, so a later
+gift can win only by an equal value with a lower seat; that phase reads
+values alone and reads a holder only on an exact tie. With SC on it keeps
+the bounded walk over net utilities. With SC off and a table of the gifts
+tied at the actor's top value, a takeable gift in that tie is found without
+a walk, by one lookup of the engine's seat-indexed `offer` bytes. All
+"exceeds" comparisons are strict, so exact ties favor opening.
 """
 
 from __future__ import annotations
@@ -51,18 +52,17 @@ def best_target(state, actor: int, values: Sequence[float],
     `values` is any float sequence indexed by gift id (play passes a float64
     row view), `values[g]` the actor's true value of gift g, and `order` the
     actor's gift ids by descending value, any sequence of ints (play passes
-    a row view of one unsigned id array; a list does too). The walk skips the
-    actor's own gift and every gift whose `GameState.takeable` flag is off:
-    wrapped, chain-locked or at the lifetime cap. The net is the gift's
-    value: a seat decides only when empty-handed (`apply_open` and
-    `apply_steal` refuse an actor holding a gift), so no holding is given
-    up. With `social` (SC on) the net also pays the social cost: norm
-    violation plus reputation, plus damage growing with prior steals from
-    the same victim. A strictly greater net wins; an equal net goes to the
-    lower seat.
+    a row view of one unsigned id array; a list does too). An actor holding
+    a gift gets None, since `apply_steal` refuses such a thief. For an
+    empty-handed actor the walk skips every gift whose `GameState.takeable`
+    flag is off: wrapped, chain-locked or at the lifetime cap. The net is
+    the gift's value, since no holding is given up. With `social` (SC on)
+    the net also pays the social cost: norm violation plus reputation, plus
+    damage growing with prior steals from the same victim. A strictly
+    greater net wins; an equal net goes to the lower seat.
 
-    The walk has two phases. Phase 1 runs to the first candidate: a
-    takeable gift the actor does not hold. Phase 2 goes on from there.
+    The walk has two phases. Phase 1 runs to the first candidate, a
+    takeable gift. Phase 2 goes on from there.
 
     - SC off, the net is the value. The values only fall along `order`, so
       no later gift can beat the candidate, and one of equal value can win
@@ -78,27 +78,28 @@ def best_target(state, actor: int, values: Sequence[float],
 
     `top`, when not empty, is a 256-byte table with a 1 at each gift id
     whose value equals the actor's row maximum (`top_table` builds it). It
-    is read only with SC off, while the engine keeps `GameState.offer`,
-    and while the actor holds nothing. Then the winner, if any takeable
-    gift sits at the row maximum, is the lowest seat whose `offer` entry is
-    such a gift: `translate` maps each seat's entry through the table (an
-    entry of 0 to 0), and `find` returns the first 1 from seat 1 on. With
-    no such seat, every gift of the tie is wrapped, chain-locked or capped,
-    and the walk runs as above from the first id below the tie.
+    is read only with SC off and while the engine keeps `GameState.offer`.
+    Then the winner, if any takeable gift sits at the row maximum, is the
+    lowest seat whose `offer` entry is such a gift: `translate` maps each
+    seat's entry through the table (an entry of 0 to 0), and `find` returns
+    the first 1 from seat 1 on. With no such seat, every gift of the tie
+    is wrapped, chain-locked or capped, and the walk runs as above from the
+    first id below the tie.
     """
-    if top and social is None and state.offer is not None \
-            and state.ownership[actor] is None:
+    if state.ownership[actor] is not None:
+        return None
+    if top and social is None and state.offer is not None:
         seat = state.offer.translate(top).find(1, 1)
         if seat > 0:
             value = values[order[0]]
             return seat, value, value
-        # No seat offers a top gift, and the actor holds none: every gift of
-        # the tie, the first `top.count(1)` of `order`, is untakeable.
+        # No seat offers a top gift: every gift of the tie, the first
+        # `top.count(1)` of `order`, is untakeable.
         order = order[top.count(1):]
     holder, takeable = state.holder, state.takeable
     walk = iter(order)
     for g in walk:
-        if takeable[g] and holder[g] != actor:
+        if takeable[g]:
             break
     else:
         return None
@@ -110,7 +111,7 @@ def best_target(state, actor: int, values: Sequence[float],
                 if value < best_value:
                     break
                 victim = holder[g]  # an exact tie
-                if victim < best_victim and victim != actor:
+                if victim < best_victim:
                     best_victim, best_value = victim, value
         return best_victim, best_value, best_value
     base_cost = params.c0 + params.beta * social.steals_committed[actor]
@@ -121,12 +122,10 @@ def best_target(state, actor: int, values: Sequence[float],
     for g in walk:
         if not takeable[g]:
             continue
-        victim = holder[g]
-        if victim == actor:
-            continue
         value = values[g]
         if value - base_cost < best_net:
             break
+        victim = holder[g]
         net = value - (base_cost + repeat_cost * h_row[victim])
         if net > best_net or (net == best_net and victim < best_victim):
             best_victim, best_net, best_value = victim, net, value

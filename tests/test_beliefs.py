@@ -141,7 +141,7 @@ def target_values(state, actor, vm, params):
 def test_without_pi_everything_is_true_value():
     vm, app, params = build_fixture()
     state = GameState(5)
-    for seat in range(1, 6):
+    for seat in (1, 2, 4, 5):  # seat 3, the actor, holds nothing
         state.apply_open(seat, seat)
     got = target_values(state, 3, vm, params)
     assert got == {g: pytest.approx(vm.values[3 - 1, g - 1]) for g in (1, 2, 4, 5)}

@@ -532,7 +532,7 @@ def test_caps_respected_under_aggressive_play():
 def test_best_target_matches_stealable(seed):
     """Property: in every reachable state, a value row that is 1 at opened
     gift g and 0 elsewhere makes `best_target` take g's holder exactly when
-    `stealable(g)` holds and the actor is not that holder."""
+    the actor is empty-handed and `stealable(g)` holds."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     state = GameState(n, StealLimits(int(rng.integers(0, 3)),
@@ -541,7 +541,7 @@ def test_best_target_matches_stealable(seed):
         for a in range(1, n + 1):
             for g in state.opened_order:
                 assert scan_takes(state, a, g) == (
-                    state.holder[g] != a and state.stealable(g))
+                    state.ownership[a] is None and state.stealable(g))
         actor = state.round if state.displaced is None else state.displaced
         actions = state.legal_actions(actor)
         action = actions[int(rng.integers(0, len(actions)))]

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -413,28 +413,26 @@ def test_mean_chain_length_is_pooled_over_nonzero_chains():
 
 def test_every_decision_is_made_empty_handed(monkeypatch):
     """`apply_open` and `apply_steal` refuse an actor holding a gift, so
-    every seat that scans is empty-handed in every game played (the scan
-    takes no holding), and the AD gate's satisfaction term never moves it."""
-    satisfactions, holdings = [], []
-    gate = harness.adaptive_prob_linear
+    every seat that scans is empty-handed in every game played: all 48
+    conditions at n = 2, 3 and 7, and the 24 SC-off conditions at n = 65,
+    where play passes each seat's `top_table`."""
+    holdings, tables = [], 0
     scan = strategies.best_target
 
-    def recording_gate(p0, phase, frustration, satisfaction, *coefficients):
-        satisfactions.append(satisfaction)
-        return gate(p0, phase, frustration, satisfaction, *coefficients)
-
-    def recording_scan(state, actor, *rest):
+    def recording_scan(state, actor, values, order, social, params, top=b""):
+        nonlocal tables
         holdings.append(state.ownership[actor])
-        return scan(state, actor, *rest)
+        tables += bool(top)
+        return scan(state, actor, values, order, social, params, top)
 
-    monkeypatch.setattr(harness, "adaptive_prob_linear", recording_gate)
     monkeypatch.setattr(strategies, "best_target", recording_scan)
-    for n in (2, 3, 7):
-        run_experiment(ExperimentConfig(n_players=n, games_per_condition=4,
-                                        base_seed=n))
-    assert satisfactions and holdings
-    assert set(satisfactions) == {0.0}
-    assert set(holdings) == {None}
+    for n in (2, 3, 7, 65):
+        config = ExperimentConfig(n_players=n, games_per_condition=4,
+                                  base_seed=n)
+        run_experiment(config, conditions=[
+            c for c in enumerate_conditions(config)
+            if n < 65 or Feature.SC not in c.features])
+    assert tables and set(holdings) == {None}
 
 
 def test_takeable_flags_follow_every_transition(monkeypatch):
@@ -850,6 +848,35 @@ def test_play_from_inputs_refuses_a_generator_it_cannot_read_by_the_word():
     with pytest.raises(ConfigurationError, match="PCG64"):
         play(inputs, SMALL.limits, frozenset(), SMALL.behavior, rng)
     assert rng.random(4).tolist() == untouched.random(4).tolist()
+
+
+def test_play_refuses_inputs_whose_parts_disagree_in_size():
+    """`play` takes the seat count from the strategies. Seven signals for a
+    6-gift matrix, a strategies tuple one seat short, or no seat at all are
+    refused by the part that does not fit, before any draw; the inputs
+    `draw_inputs` makes still play."""
+    good = draw_inputs(SMALL.model_for(ModelKind.INDEPENDENT), 6,
+                       SMALL.behavior, game_rng(7, 0, 0))
+    signals = np.append(good.appearance.signals, 0.5)
+    empty = GameInputs(replace(good.valuations, values=np.zeros((0, 0))),
+                       replace(good.appearance, signals=np.zeros(0)), ())
+    cases = ((replace(good, appearance=replace(good.appearance,
+                                               signals=signals)),
+              "appearance.signals"),
+             (replace(good, strategies=good.strategies[:-1]),
+              "valuations.values"),
+             (empty, "player count"))
+    for features in (frozenset(), frozenset({Feature.BS}),
+                     frozenset({Feature.PI, Feature.BS})):
+        for inputs, part in cases:
+            rng = game_rng(7, 0, 1)
+            with pytest.raises(ConfigurationError, match=part):
+                play(inputs, SMALL.limits, features, SMALL.behavior, rng)
+            assert rng.bit_generator.state == (
+                game_rng(7, 0, 1).bit_generator.state)
+        game = play(good, SMALL.limits, features, SMALL.behavior,
+                    game_rng(7, 0, 1))
+        assert len(game.seat_values) == 6
 
 
 @pytest.mark.parametrize("n", [7, 65])

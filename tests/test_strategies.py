@@ -87,20 +87,18 @@ def test_best_target_walks_on_through_a_tie_at_the_bound():
                            PARAMS) == (3, 0.7, 0.7)
 
 
-def test_best_target_walks_when_the_actor_holds_a_top_gift():
-    # Seat 2 holds gift 2 and seat 3 gift 3, both at seat 2's top value 1.0.
-    # Seat 2 is not empty-handed, so the table is not read: the lowest seat
-    # holding a top gift is seat 2 itself, and the walk goes past it. Then
-    # seat 2 alone holds its top gift, and the walk finds seat 3's.
+def test_best_target_answers_none_to_a_seat_holding_a_top_gift():
+    # Seat 2 holds gift 2 and seat 3 gift 3, both at seat 2's top value 1.0;
+    # then seat 2 alone holds its top gift. `apply_steal` refuses a thief
+    # holding a gift, so seat 2 gets no target, with or without its table.
     state = GameState(4)
     for seat in range(1, 4):
         state.apply_open(seat, seat)
-    for values, want in (([0.0, 0.5, 1.0, 1.0, 0.0], (3, 1.0, 1.0)),
-                         ([0.0, 0.5, 1.0, 0.7, 0.0], (3, 0.7, 0.7))):
+    for values in ([0.0, 0.5, 1.0, 1.0, 0.0], [0.0, 0.5, 1.0, 0.7, 0.0]):
         order = by_value(values)
-        table = tie_table(values)
-        assert best_target(state, 2, values, order, None, PARAMS,
-                           table) == want
+        for table in (b"", tie_table(values)):
+            assert best_target(state, 2, values, order, None, PARAMS,
+                               table) is None
 
 
 def tie_table(values):
@@ -111,10 +109,13 @@ def tie_table(values):
 
 
 def full_scan(state, actor, values, social, params):
-    """The reference scan: every opened gift, in opening order, no early
-    exit, legality recomputed from `holder`, `chain_locked` and
-    `total_steals` rather than read from the `takeable` flags.
-    `best_target` must return exactly what this returns."""
+    """The reference scan: None for an actor holding a gift, whom
+    `apply_steal` refuses; else every opened gift, in opening order, no
+    early exit, legality recomputed from `chain_locked` and `total_steals`
+    rather than read from the `takeable` flags. `best_target` must return
+    exactly what this returns."""
+    if state.ownership[actor] is not None:
+        return None
     holder, locked = state.holder, state.chain_locked
     lifetime, total = state.limits.lifetime, state.total_steals
     if social is not None:
@@ -123,10 +124,9 @@ def full_scan(state, actor, values, social, params):
         h_row = social.history[actor]
     best_victim, best_net, best_value = 0, 0.0, 0.0  # seat 0: none yet
     for g in state.opened_order:
-        victim = holder[g]
-        if (victim == actor or g in locked
-                or (lifetime and total[g] >= lifetime)):
+        if g in locked or (lifetime and total[g] >= lifetime):
             continue
+        victim = holder[g]
         value = values[g]
         net = value
         if social is not None:
@@ -176,10 +176,10 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
     the rows as lists and as the float64 views play passes, the orders as
     lists and as uint8 and uint16 id views, with and without the actor's
     top table. The correlated and negative models clip to exact 0.0 and
-    1.0 and the quantized rows take five values, so ties are common; every
-    actor is scanned, holding a gift or not."""
+    1.0 and the quantized rows take five values, so ties are common. Every
+    seat is scanned: one holding a gift gets None."""
     rng = np.random.default_rng([13, len(kind.value), quantized])
-    ties = 0
+    ties = holding = 0
     for trial in range(24):
         n = int(rng.integers(2, 12))
         values = generate_valuations(ValuationModel(kind), n, rng).values
@@ -203,6 +203,7 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                 listed = shuffled_order(row, rng)
                 ties += len(set(row[1:])) < n
                 table = tie_table(row)
+                holding += state.ownership[actor] is not None
                 for sc in (None, social):
                     want = full_scan(state, actor, row, sc, params)
                     for ids in ID_TYPES:
@@ -220,6 +221,7 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                 state.apply_open(actor, action.gift)
             else:
                 state.apply_steal(actor, action.victim)
+    assert holding  # seats holding a gift were scanned
     if quantized or kind is not ModelKind.INDEPENDENT:
         assert ties  # the tie-break was exercised
 
@@ -266,8 +268,8 @@ def test_played_games_scan_as_the_full_scan(monkeypatch):
             seen["sc_on"] += 1
         elif got is not None:  # SC off: count scans the tie-break decided
             seen["ties"] += sum(
-                state.takeable[g] and state.holder[g] != actor
-                and values[g] == got[2] for g in state.opened_order) > 1
+                state.takeable[g] and values[g] == got[2]
+                for g in state.opened_order) > 1
             # ... and those a takeable gift in the top table answered
             seen["table"] += bool(top) and any(
                 top[g] and state.takeable[g] for g in state.opened_order)
