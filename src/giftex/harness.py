@@ -76,8 +76,8 @@ class ExperimentConfig:
                     f"{key} must be a {kind.__name__}, got {value!r}")
         for key in ("rho", "sigma_neg"):
             object.__setattr__(self, key, require_float(key, getattr(self, key)))
-        for kind in MODEL_ORDER:
-            self.model_for(kind)  # validates rho and sigma_neg
+        # Validates rho and sigma_neg, whose checks no kind changes.
+        self.model_for(ModelKind.INDEPENDENT)
 
     def model_for(self, kind: ModelKind) -> ValuationModel:
         return ValuationModel(kind, rho=self.rho, sigma=self.sigma_neg)
@@ -283,11 +283,17 @@ class _Draws:
         self.source.random_raw(self.fetched - len(self.words), output=False)
 
 
-def _require_pcg64(rng: np.random.Generator) -> None:
+def _require_playable(rng: np.random.Generator, features) -> None:
+    """Refuse a generator play cannot read by the word, and features that
+    are not a set of `Feature` members (play would read them as absent)."""
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ConfigurationError(
             "play needs a PCG64 generator, got "
             f"{type(rng.bit_generator).__name__}")
+    if (not isinstance(features, (set, frozenset))
+            or not set(map(type, features)) <= {Feature}):
+        raise ConfigurationError(
+            f"features must be a set of Feature members, got {features!r}")
 
 
 def play_game(
@@ -298,9 +304,9 @@ def play_game(
     params: BehaviorParams,
     rng: np.random.Generator,
 ) -> PlayedGame:
-    """Draw one game's inputs and play them; a non-PCG64 `rng` is refused
-    before any draw."""
-    _require_pcg64(rng)
+    """Draw one game's inputs and play them; a non-PCG64 `rng` or features
+    play cannot read are refused before any draw."""
+    _require_playable(rng, features)
     return play(draw_inputs(model, n, params, rng), limits, features, params,
                 rng)
 
@@ -321,11 +327,17 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
     """Play one decorated game from its inputs. `rng` must be a PCG64
     generator (`default_rng`'s): play's scalar draws read its raw words
     through `_Draws`, which leaves it where numpy's own calls would. The
-    inputs' parts must agree on the seat count, that of `strategies`."""
-    _require_pcg64(rng)
+    inputs' parts must agree on the seat count, that of `strategies`, a
+    tuple of `Strategy` members; `features` must be a set of `Feature`
+    members. Bad inputs are refused before any draw."""
+    _require_playable(rng, features)
     vm, app, assigned = inputs.valuations, inputs.appearance, inputs.strategies
     n = len(assigned)
     require_int("player count", n, 1)
+    if set(map(type, assigned)) != {Strategy}:
+        bad = next(s for s in assigned if type(s) is not Strategy)
+        raise ConfigurationError(
+            f"strategies must be Strategy members, got {bad!r}")
     for part, shape, want in (("valuations.values", vm.values.shape, (n, n)),
                               ("appearance.signals", app.signals.shape, (n,))):
         if shape != want:
@@ -406,20 +418,20 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
             best = strategies.best_target(st, actor, V[actor], order[actor],
                                           sc_social, params, top)
             if best is not None:
-                # Each mean has one reader; a target implies an opened gift,
-                # and a decision always has a wrapped one.
-                opened_mean = wrapped_mean = 0.0
+                # The bar the seat's rule compares: the threshold, its
+                # opened mean, or the wrapped mean, which opening nets. A
+                # target implies an opened gift; a decision, a wrapped one.
+                bar = threshold
                 if kind is MEAN_BASED:
                     opened = st.opened_order
-                    opened_mean = seen.seen(actor, opened) / len(opened)
+                    bar = seen.seen(actor, opened) / len(opened)
                 elif kind is EXPECTED_VALUE:
                     if pi_on:
-                        wrapped_mean = ce_wrapped_sum / len(wrapped)
+                        bar = ce_wrapped_sum / len(wrapped)
                     else:
-                        wrapped_mean = (seen.unseen(actor, st.opened_order)
-                                        / len(wrapped))
-                victim = strategy_decide(kind, best, opened_mean,
-                                         wrapped_mean, threshold, game_rng)
+                        bar = (seen.unseen(actor, st.opened_order)
+                               / len(wrapped))
+                victim = strategy_decide(kind, best, bar, game_rng)
         # Bookkeeping happens here because the engine either applies exactly
         # this action or aborts the game.
         if victim is None:

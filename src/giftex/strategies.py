@@ -205,16 +205,15 @@ def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
 
 
 def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
-           opened_mean: float, wrapped_mean: float, threshold: float,
-           rng) -> Optional[int]:
+           bar: float, rng) -> Optional[int]:
     """Steal-or-open decision for one strategy at one decision point, given
     the `best_target` winner: the victim seat to steal from, or None to open.
 
-    Each rule reads only its own inputs: MEAN_BASED reads `opened_mean`,
-    THRESHOLD `threshold`, EXPECTED_VALUE `wrapped_mean`; whatever is passed
-    for the rest is ignored. Only COIN_FLIP consumes randomness, one
-    `rng.random()`, and only when a target exists; `rng` is a numpy
-    Generator or play's draws (`harness._Draws`).
+    `bar` is the one number the seat's rule compares against: MEAN_BASED
+    steals when the winner's value exceeds it, THRESHOLD and EXPECTED_VALUE
+    when its net does; ALWAYS_STEAL and COIN_FLIP ignore it. Only COIN_FLIP
+    consumes randomness, one `rng.random()`, and only when a target exists;
+    `rng` is a numpy Generator or play's draws (`harness._Draws`).
     """
     if best is None or kind is ALWAYS_OPEN:
         return None
@@ -224,13 +223,9 @@ def decide(kind: Strategy, best: Optional[tuple[int, float, float]],
     elif kind is COIN_FLIP:
         steal = rng.random() < 0.5
     elif kind is MEAN_BASED:
-        steal = gift_value > opened_mean
-    elif kind is THRESHOLD:
-        steal = net_utility > threshold
-    elif kind is EXPECTED_VALUE:
-        # Opening a random wrapped gift nets the pool mean (the decider is
-        # empty-handed); steal wins only when its net beats that.
-        steal = net_utility > wrapped_mean
+        steal = gift_value > bar
+    elif kind is THRESHOLD or kind is EXPECTED_VALUE:
+        steal = net_utility > bar
     else:
         raise ValueError(f"unknown strategy {kind!r}")
     return victim if steal else None

@@ -39,6 +39,9 @@ class ValuationModel:
     sigma: float = 0.2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ModelKind):
+            raise ConfigurationError(
+                f"kind must be a ModelKind, got {self.kind!r}")
         for key in ("rho", "sigma"):
             object.__setattr__(self, key, require_float(key, getattr(self, key)))
         if not 0.0 <= self.rho <= 1.0:

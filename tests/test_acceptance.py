@@ -20,19 +20,18 @@ from dataclasses import replace
 from math import factorial, prod
 from multiprocessing import get_context
 
-import numpy as np
 import pytest
 
 from giftex.behavior import BehaviorParams
 from giftex.beliefs import wrapped_gift_value
 from giftex.counting import (UNLIMITED, brute_force_count, count_trajectories,
                              round_action_count)
-from giftex.engine import Open, Steal, StealLimits, Swap, replay
+from giftex.engine import StealLimits
 from giftex.harness import (Condition, ExperimentConfig, compute_effects,
                             enumerate_conditions, export, game_rng, play_game,
                             run_condition, run_experiment)
-from giftex.strategies import Strategy
 from giftex.valuation import ModelKind
+from reference import check_game
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -144,33 +143,6 @@ LIMIT_CHOICES = (StealLimits(1, 0), StealLimits(1, 3), StealLimits(0, 0),
                  StealLimits(2, 0), StealLimits(1, 1), StealLimits(2, 2))
 
 
-def check_game(game, n, limits):
-    result = game.result
-    owned = sorted(result.final_ownership.values())
-    assert owned == list(range(1, n + 1)), "final ownership must be a bijection"
-    assert all(c <= n - 1 for c in result.chain_lengths)
-    assert result.steal_count == sum(result.chain_lengths)
-    # recompute steal caps straight from the action log
-    round_counts = {}
-    total_counts = {}
-    current_round = 0
-    for _, action, k, _, g in result.trajectory:
-        if type(action) is Swap:
-            continue
-        if k != current_round:
-            current_round = k
-            round_counts = {}
-        if type(action) is Steal:
-            round_counts[g] = round_counts.get(g, 0) + 1
-            total_counts[g] = total_counts.get(g, 0) + 1
-            if limits.per_round:
-                assert round_counts[g] <= limits.per_round
-            if limits.lifetime:
-                assert total_counts[g] <= limits.lifetime
-    end = replay(n, limits, result.trajectory)
-    assert {p: end.ownership[p] for p in range(1, n + 1)} == result.final_ownership
-
-
 CRITERION_4_GAMES = 100_000
 # Games per pool task. Fixed, so that a game's index, and with it its
 # condition, size, limits and generator, never depends on the core count.
@@ -189,7 +161,7 @@ def criterion_4_games(start, stop):
         model = config.model_for(cond.model_kind)
         game = play_game(n, limits, model, cond.features, config.behavior,
                          game_rng(1234, cond.index, i))
-        check_game(game, n, limits)
+        check_game(game.result)
     return stop - start
 
 
@@ -211,7 +183,7 @@ def test_criterion_4_engine_invariants_bulk():
         model = config.model_for(cond.model_kind)
         game = play_game(29, config.limits, model, cond.features,
                          config.behavior, game_rng(4321, cond.index, i))
-        check_game(game, 29, config.limits)
+        check_game(game.result)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     report(4, f"{total_games + 96} games across 48 conditions in {elapsed:.1f} s")

@@ -14,13 +14,9 @@ from giftex.behavior import (BehaviorParams, Feature, SocialState,
 from giftex.engine import GameState
 from giftex.errors import ConfigurationError
 from giftex.strategies import best_target
+from reference import by_value, lone_targets
 
 PARAMS = BehaviorParams()
-
-
-def by_value(values):
-    """Gift ids by descending value: the `order` `best_target` walks."""
-    return sorted(range(1, len(values)), key=values.__getitem__, reverse=True)
 
 
 # -- feature plumbing ---------------------------------------------------------
@@ -67,12 +63,8 @@ def test_non_finite_parameters_rejected(name, bad):
 def nets(state, actor, values, social=None, params=PARAMS):
     """victim -> net utility, as `best_target` reports each legal target
     when its walk visits that gift alone."""
-    out = {}
-    for gift in state.opened_order:
-        best = best_target(state, actor, values, [gift], social, params)
-        if best is not None:
-            out[best[0]] = best[1]
-    return out
+    return {victim: net for victim, net, _ in
+            lone_targets(state, actor, values, social, params)}
 
 
 def social_cost(social, thief, victim, params=PARAMS):

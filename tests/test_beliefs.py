@@ -13,9 +13,9 @@ from giftex.behavior import BehaviorParams
 from giftex.beliefs import wrapped_gift_value
 from giftex.engine import GameState
 from giftex.errors import ConfigurationError
-from giftex.strategies import best_target
 from giftex.valuation import (ModelKind, ValuationModel, generate_appearance,
                               generate_valuations)
+from reference import lone_targets
 
 PRIOR = BehaviorParams(mu0=0.5, sigma0_sq=0.25)
 
@@ -130,12 +130,8 @@ def target_values(state, actor, vm, params):
     """victim's gift -> the value a steal target carries, as `best_target`
     reports it when its walk visits that gift alone (SC off)."""
     row = [0.0] + vm.values[actor - 1].tolist()
-    out = {}
-    for gift in state.opened_order:
-        best = best_target(state, actor, row, [gift], None, params)
-        if best is not None:
-            out[state.ownership[best[0]]] = best[2]
-    return out
+    return {state.ownership[victim]: value for victim, _, value in
+            lone_targets(state, actor, row, None, params)}
 
 
 def test_without_pi_everything_is_true_value():

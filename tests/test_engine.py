@@ -13,6 +13,7 @@ from giftex.engine import (STANDARD_LIMITS, ActionRecord, GameState, Open, Steal
                            StealLimits, Swap, replay, run_game)
 from giftex.errors import ConfigurationError, IllegalMoveError, PhaseError
 from giftex.strategies import best_target
+from reference import by_value, check_game
 
 
 def open_lowest(state, actor, rng):
@@ -25,11 +26,6 @@ def greedy_steal(state, actor, rng):
     actions = state.legal_actions(actor)
     steals = [a for a in actions if type(a) is Steal]
     return steals[0] if steals else actions[0]
-
-
-def by_value(values):
-    """Gift ids by descending value: the `order` `best_target` walks."""
-    return sorted(range(1, len(values)), key=values.__getitem__, reverse=True)
 
 
 def scan_takes(state, actor, gift):
@@ -339,15 +335,6 @@ def test_policy_illegal_action_fails_fast():
 
 # -- replay and invariants ----------------------------------------------------
 
-def assert_game_invariants(result):
-    owned = sorted(result.final_ownership.values())
-    assert owned == list(range(1, result.n + 1))  # bijection
-    assert all(c <= result.n - 1 for c in result.chain_lengths)
-    end = replay(result.n, result.limits, result.trajectory)
-    assert {p: end.ownership[p] for p in range(1, result.n + 1)} == result.final_ownership
-    assert end.concluded
-
-
 @given(seed=st.integers(min_value=0, max_value=2000))
 @settings(max_examples=60, deadline=None)
 def test_random_games_keep_invariants(seed):
@@ -356,7 +343,7 @@ def test_random_games_keep_invariants(seed):
     n = int(rng.integers(1, 10))
     limits = StealLimits(int(rng.integers(0, 3)), int(rng.integers(0, 4)))
     result = run_game(n, limits, random_policy, rng=rng)
-    assert_game_invariants(result)
+    check_game(result)
 
 
 def test_replay_rejects_a_tampered_gift():

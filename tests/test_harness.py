@@ -850,6 +850,31 @@ def test_play_from_inputs_refuses_a_generator_it_cannot_read_by_the_word():
     assert rng.random(4).tolist() == untouched.random(4).tolist()
 
 
+def test_play_refuses_features_and_strategies_it_cannot_use():
+    """Play would read features that are not `Feature` members as absent,
+    and would meet strategies that are not `Strategy` members only at a
+    decision with a target. Both are refused by name before any draw."""
+    model = SMALL.model_for(ModelKind.INDEPENDENT)
+    for features in (frozenset(f.value for f in Feature), {"pi"},
+                     frozenset({Feature.PI, "sc"}), (Feature.PI,), "pi"):
+        rng = game_rng(7, 0, 1)
+        with pytest.raises(ConfigurationError, match="features"):
+            play_game(8, SMALL.limits, model, features, SMALL.behavior, rng)
+        assert rng.bit_generator.state == game_rng(7, 0, 1).bit_generator.state
+    good = draw_inputs(model, 6, SMALL.behavior, game_rng(7, 0, 0))
+    one = draw_inputs(model, 1, SMALL.behavior, game_rng(7, 0, 0))
+    for inputs in (replace(good, strategies=tuple(
+                       s.value for s in good.strategies)),
+                   replace(good, strategies=good.strategies[:-1] + (None,)),
+                   replace(one, strategies=("nonsense",))):
+        for features in (frozenset(), frozenset(Feature)):
+            rng = game_rng(7, 0, 1)
+            with pytest.raises(ConfigurationError, match="strategies"):
+                play(inputs, SMALL.limits, features, SMALL.behavior, rng)
+            assert rng.bit_generator.state == (
+                game_rng(7, 0, 1).bit_generator.state)
+
+
 def test_play_refuses_inputs_whose_parts_disagree_in_size():
     """`play` takes the seat count from the strategies. Seven signals for a
     6-gift matrix, a strategies tuple one seat short, or no seat at all are

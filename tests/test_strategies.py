@@ -18,22 +18,16 @@ from giftex.strategies import (C_DRAW_ABOVE, STRATEGY_ORDER, Strategy,
                                best_target, choose_open_gift, decide,
                                top_table)
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
+from reference import by_value
 
 
-def run(kind, best=None, opened_mean=0.5, wrapped_mean=0.5, threshold=0.6,
-        rng=None):
+def run(kind, best=None, bar=0.6, rng=None):
     """`decide` with the defaults these tests share: the victim or None."""
-    return decide(kind, best, opened_mean, wrapped_mean, threshold,
-                  RNG if rng is None else rng)
+    return decide(kind, best, bar, RNG if rng is None else rng)
 
 
 RNG = np.random.default_rng(0)
 PARAMS = BehaviorParams()
-
-
-def by_value(values):
-    """Gift ids by descending value: the `order` `best_target` walks."""
-    return sorted(range(1, len(values)), key=values.__getitem__, reverse=True)
 
 
 def test_strategy_names_are_the_cli_identifiers():
@@ -309,12 +303,10 @@ def test_coin_flip_splits_roughly_in_half():
 
 
 def test_mean_based_compares_gift_value_to_opened_mean():
-    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.8),
-               opened_mean=0.7) == 2
-    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.6),
-               opened_mean=0.7) is None
+    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.8), bar=0.7) == 2
+    assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.6), bar=0.7) is None
     assert run(Strategy.MEAN_BASED, best=(2, 0.3, 0.7),
-               opened_mean=0.7) is None  # tie
+               bar=0.7) is None  # tie
 
 
 def test_threshold_boundary_is_strict():
@@ -323,16 +315,36 @@ def test_threshold_boundary_is_strict():
     assert run(Strategy.THRESHOLD, best=(2, 0.60, 0.60)) is None
 
 
+def test_threshold_compares_the_net_not_the_value():
+    # Under SC a winner's net is its value less the social cost: a net
+    # below the bar opens even when the value is above it, and the reverse.
+    assert run(Strategy.THRESHOLD, best=(2, 0.55, 0.8)) is None
+    assert run(Strategy.THRESHOLD, best=(2, 0.65, 0.5)) == 2
+    assert run(Strategy.MEAN_BASED, best=(2, 0.55, 0.8)) == 2
+    assert run(Strategy.MEAN_BASED, best=(2, 0.65, 0.5)) is None
+
+
+@pytest.mark.parametrize("kind", [Strategy.ALWAYS_STEAL, Strategy.COIN_FLIP])
+def test_always_steal_and_coin_flip_ignore_the_bar(kind):
+    # COIN_FLIP draws from equal generator states for every bar.
+    for best in ((2, 0.3, 0.8), (3, 0.9, 0.1), (4, -0.2, 0.0)):
+        seen = set()
+        for seed in range(20):
+            answers = {run(kind, best, bar, np.random.default_rng(seed))
+                       for bar in (-1e9, -0.5, 0.0, 0.3, 0.6, 0.8, 1.0, 1e9)}
+            assert len(answers) == 1
+            seen |= answers
+        assert seen == ({best[0]} if kind is Strategy.ALWAYS_STEAL
+                        else {best[0], None})
+
+
 def test_expected_value_compares_net_to_opening_net():
     # wrapped-pool mean 0.5, empty-handed, best steal net 0.7: steal
-    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.7, 0.7),
-               wrapped_mean=0.5) == 2
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.7, 0.7), bar=0.5) == 2
     # best net below the opening net: open
-    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.3, 0.3),
-               wrapped_mean=0.5) is None
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.3, 0.3), bar=0.5) is None
     # an equal net opens: the comparison is strict
-    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.5, 0.7),
-               wrapped_mean=0.5) is None
+    assert run(Strategy.EXPECTED_VALUE, best=(2, 0.5, 0.7), bar=0.5) is None
 
 
 # -- gift choice --------------------------------------------------------------------
@@ -532,8 +544,12 @@ def test_decide_never_returns_an_illegal_action(seed):
     pool = [int(g) + 30 for g in rng.choice(10, size=int(rng.integers(1, 6)),
                                             replace=False)]
     kind = STRATEGY_ORDER[int(rng.integers(0, 6))]
-    victim = run(kind, best=best, opened_mean=float(rng.random()),
-                 wrapped_mean=float(rng.random()), rng=rng)
+    # Both means are drawn whatever the rule, so each example's draws stay
+    # as they were; the bar is the one the rule reads, as play sets it.
+    opened_mean, wrapped_mean = float(rng.random()), float(rng.random())
+    bar = {Strategy.MEAN_BASED: opened_mean,
+           Strategy.EXPECTED_VALUE: wrapped_mean}.get(kind, 0.6)
+    victim = run(kind, best=best, bar=bar, rng=rng)
     if victim is None:
         assert choose_open_gift(pool, None, rng) in pool
     else:

@@ -94,6 +94,13 @@ def test_invalid_parameters_rejected():
     assert type(model.rho) is float and type(model.sigma) is float
 
 
+@pytest.mark.parametrize("kind", ["independent", "negative", None, 0])
+def test_a_kind_that_is_not_a_model_kind_is_rejected(kind):
+    # `generate_valuations` would draw any such kind as the negative model.
+    with pytest.raises(ConfigurationError, match="kind"):
+        ValuationModel(kind)
+
+
 def test_same_seed_regenerates_identical_matrices():
     a = generate_valuations(IND, 15, np.random.default_rng(42))
     b = generate_valuations(IND, 15, np.random.default_rng(42))
