@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _env_seed(args.seed, DEFAULT_SEED)
-    features = feature_set(*args.features.split(",")) if args.features else frozenset()
+    features = feature_set(*args.features.split(","))
     config = harness.ExperimentConfig(n_players=args.players, base_seed=seed)
     model = config.model_for(ModelKind(args.model))
     rng = harness.game_rng(config.base_seed, 0, 0)
@@ -161,7 +161,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,8 +4,10 @@ Players and gifts are identified by 1-based seat/gift indices. Seat order is
 turn order: seat k takes the primary turn of round k. A steal displaces its
 victim, who must act immediately; the resulting chain ends when somebody opens
 a wrapped gift, which also ends the round. After round n the first player may
-swap with any other player, then the game is over. `run_game` is the one
-round loop; `replay` checks a logged trajectory by playing it again through it.
+swap with any other player, then the game is over. `GameState.to_act` is the
+one turn pointer: the transitions move it, and refuse any other actor, so the
+seat that moves always holds nothing. `run_game` is the one round loop;
+`replay` checks a logged trajectory by playing it again through it.
 The loop logs each move in `GameResult.trajectory` as a plain
 `(actor, action, round, position_in_chain, gift)` tuple; `ActionRecord` only
 names those fields, and play builds none.
@@ -107,13 +109,14 @@ class GameState:
         a byte (n <= OFFER_MAX_N), else None: ``offer[s]`` is the id of the
         gift seat s holds while that gift is takeable, else 0
     round : current round index, 1..n
-    displaced : seat that must act next inside a chain, else None
+    to_act : the seat that must move next: seat k at round k's start, the
+        victim after each steal, None once round n's open is applied
     """
 
     __slots__ = (
         "n", "limits", "ownership", "holder", "wrapped", "opened_order",
         "chain_locked", "total_steals", "takeable", "offer", "round",
-        "displaced", "swap_pending", "concluded",
+        "to_act", "concluded",
     )
 
     def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
@@ -131,8 +134,7 @@ class GameState:
         self.offer: Optional[bytearray] = (bytearray(n + 1)
                                            if n <= OFFER_MAX_N else None)
         self.round = 1
-        self.displaced: Optional[int] = None
-        self.swap_pending = False
+        self.to_act: Optional[int] = 1
         self.concluded = False
 
     # -- queries ----------------------------------------------------------
@@ -145,7 +147,7 @@ class GameState:
 
     def legal_actions(self, actor: int) -> list[Action]:
         """Opens by gift id, then steals by seat: the exhaustive-play oracle."""
-        if self.swap_pending or self.concluded:
+        if self.to_act is None:
             raise PhaseError("rounds are over; only the final swap remains")
         victims = sorted(self.holder[g] for g in self.opened_order
                          if self.holder[g] != actor and self.stealable(g))
@@ -153,15 +155,19 @@ class GameState:
 
     # -- transitions ------------------------------------------------------
 
+    def _out_of_turn(self, actor: object) -> Exception:
+        """The refusal of a move by `actor`, who is not `to_act`."""
+        if self.to_act is None:
+            return PhaseError(f"rounds are over; seat {actor!r} cannot move")
+        return IllegalMoveError(f"seat {self.to_act} is to act, not {actor!r}")
+
     def apply_open(self, actor: int, gift: int) -> None:
         """Open `gift`, ending the current chain and the round."""
-        if self.swap_pending or self.concluded:
-            raise PhaseError("cannot open after the last round")
+        if type(actor) is not int or actor != self.to_act:
+            raise self._out_of_turn(actor)
         if (type(gift) is not int or not 1 <= gift <= self.n
                 or self.holder[gift] is not None):
             raise IllegalMoveError(f"gift {gift!r} is not available to open")
-        if self.ownership[actor] is not None:
-            raise IllegalMoveError(f"seat {actor} already holds a gift")
         self.ownership[actor] = gift
         self.holder[gift] = actor
         self.wrapped.remove(gift)
@@ -179,18 +185,15 @@ class GameState:
                 if offer is not None:
                     offer[self.holder[g]] = g
         self.chain_locked.clear()
-        self.displaced = None
         if self.round == self.n:
-            self.swap_pending = True
+            self.to_act = None
         else:
-            self.round += 1
+            self.round = self.to_act = self.round + 1
 
     def apply_steal(self, thief: int, victim: int) -> None:
-        """Steal the victim's gift; the victim becomes the displaced actor."""
-        if self.swap_pending or self.concluded:
-            raise PhaseError("cannot steal after the last round")
-        if victim == thief:
-            raise IllegalMoveError("cannot steal from yourself")
+        """Steal the victim's gift; the victim is the next to act."""
+        if type(thief) is not int or thief != self.to_act:
+            raise self._out_of_turn(thief)
         if type(victim) is not int or not 1 <= victim <= self.n:
             raise IllegalMoveError(f"no such seat {victim!r}")
         gift = self.ownership[victim]
@@ -198,8 +201,6 @@ class GameState:
             raise IllegalMoveError(f"seat {victim} owns nothing to steal")
         if not self.takeable[gift]:
             raise IllegalMoveError(f"gift {gift} is not stealable")
-        if self.ownership[thief] is not None:
-            raise IllegalMoveError(f"seat {thief} already holds a gift")
         self.ownership[thief] = gift
         self.holder[gift] = thief
         self.ownership[victim] = None
@@ -208,14 +209,14 @@ class GameState:
         if self.offer is not None:
             self.offer[victim] = 0  # the thief's new gift is locked
         self.total_steals[gift] += 1
-        self.displaced = victim
+        self.to_act = victim
 
     def final_swap(self, partner: Optional[int]) -> None:
         """Seat 1's optional trade. No chain, no locks, no counter updates."""
+        if self.to_act is not None:
+            raise PhaseError("final swap is only available after round n")
         if self.concluded:
             raise PhaseError("game already concluded")
-        if not self.swap_pending:
-            raise PhaseError("final swap is only available after round n")
         if partner is not None:
             if (type(partner) is not int or partner == 1
                     or not 1 <= partner <= self.n):
@@ -226,7 +227,6 @@ class GameState:
             offer = self.offer
             if offer is not None:
                 offer[1], offer[partner] = offer[partner], offer[1]
-        self.swap_pending = False
         self.concluded = True
 
 
@@ -261,8 +261,9 @@ def run_game(
     """Play rounds 1..n and the final swap; returns a bijective allocation.
 
     Round k is seat k's primary turn plus the displacement chain it starts.
-    `decide(state, actor, rng)` must return a legal Open or Steal; an illegal
-    action raises immediately (policies are trusted code, not user input).
+    `decide(state, actor, rng)` is asked for the move of `state.to_act` and
+    must return a legal Open or Steal; an illegal action raises immediately
+    (policies are trusted code, not user input).
     `swap(state, rng)` picks seat 1's trade partner (None keeps); when omitted
     the swap is declined. `on_round_end` is a bookkeeping hook (e.g. emotional
     decay) called after each round.
@@ -271,8 +272,9 @@ def run_game(
     chain_lengths: list[int] = []
     moves: list[tuple] = []
     for k in range(1, n + 1):
-        actor, position = k, 0
+        position = 0
         while True:
+            actor = state.to_act
             action = decide(state, actor, rng)
             if type(action) is Open:
                 state.apply_open(actor, action.gift)
@@ -280,11 +282,9 @@ def run_game(
                 break
             if type(action) is not Steal:
                 raise IllegalMoveError(f"policy returned {action!r}")
-            victim = action.victim
-            state.apply_steal(actor, victim)
+            state.apply_steal(actor, action.victim)
             moves.append((actor, action, k, position, state.ownership[actor]))
             position += 1
-            actor = victim
         assert position <= n - 1  # chain termination bound
         chain_lengths.append(position)
         if on_round_end is not None:

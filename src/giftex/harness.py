@@ -182,12 +182,10 @@ class _SeenSums:
     additions, in the same order, as a sum kept on every open. `rows` are
     float sequences indexed by gift id (lists or float64 views)."""
 
-    __slots__ = ("rows", "values", "sums", "upto", "totals")
+    __slots__ = ("rows", "sums", "upto", "totals")
 
-    def __init__(self, rows: Sequence[Sequence[float]],
-                 values: np.ndarray) -> None:
+    def __init__(self, rows: Sequence[Sequence[float]]) -> None:
         self.rows = rows  # rows[seat][gift]
-        self.values = values  # values[seat - 1, gift - 1]
         self.sums = [0.0] * len(rows)
         self.upto = [0] * len(rows)  # how much of `opened_order` is summed
         self.totals: list[Optional[float]] = [None] * len(rows)
@@ -204,11 +202,12 @@ class _SeenSums:
         """The seat's row sum, taken on first read, less `seen`."""
         total = self.totals[seat]
         if total is None:
-            # Left to right, as `running_total` adds, but without a Python
-            # call per value: `add.accumulate` adds in order, where `sum`
-            # (numpy's pairwise, or builtin from Python 3.12) does not.
+            # Left to right from the row's leading 0.0, as `running_total`
+            # adds, but without a Python call per value: `add.accumulate`
+            # adds in order, where `sum` (numpy's pairwise, or builtin from
+            # Python 3.12) does not.
             total = self.totals[seat] = float(
-                np.add.accumulate(self.values[seat - 1])[-1])
+                np.add.accumulate(self.rows[seat])[-1])
         return total - self.seen(seat, opened)
 
 
@@ -351,7 +350,7 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
     # items read as the same Python floats `tolist` makes, built per read.
     flat = memoryview(padded.reshape(-1))
     V = [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]
-    seen = _SeenSums(V, vm.values)
+    seen = _SeenSums(V)
     # order[seat]: gift ids by descending value, for `best_target`'s walk;
     # a view per seat of one id array of the smallest type that holds n,
     # whose items read as Python ints.

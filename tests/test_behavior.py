@@ -69,9 +69,13 @@ def nets(state, actor, values, social=None, params=PARAMS):
 
 def social_cost(social, thief, victim, params=PARAMS):
     """The SC cost `best_target` charges: with every gift worth 0 and the
-    thief empty-handed, the net utility is minus the cost."""
+    thief empty-handed, the net utility is minus the cost. Seats up to the
+    victim open in turn; then the next seat robs the thief, a lower seat,
+    who is left empty-handed while the victim's gift stays takeable."""
     state = GameState(5)
-    state.apply_open(victim, victim)  # the thief holds nothing
+    for seat in range(1, victim + 1):
+        state.apply_open(seat, seat)
+    state.apply_steal(victim + 1, thief)
     return -nets(state, thief, [0.0] * 6, social, params)[victim]
 
 
@@ -284,6 +288,11 @@ def test_selection_weights_total_left_to_right():
 def test_empty_pool_rejected():
     with pytest.raises(ValueError):
         selection_weights([], 2.0)
+
+
+def test_negative_temperature_rejected():
+    with pytest.raises(ConfigurationError, match="tau"):
+        selection_weights([0.2, 0.8], tau=-1.0)
 
 
 @given(values=st.lists(st.floats(0, 1), min_size=1, max_size=20),

@@ -136,9 +136,13 @@ def target_values(state, actor, vm, params):
 
 def test_without_pi_everything_is_true_value():
     vm, app, params = build_fixture()
-    state = GameState(5)
-    for seat in (1, 2, 4, 5):  # seat 3, the actor, holds nothing
+    # Seats 1-5 open their own gifts, then seat 6 robs seat 3, the actor,
+    # who holds nothing; gift 3 is chain-locked and gift 6, which the
+    # five-seat values never name, stays wrapped.
+    state = GameState(6)
+    for seat in range(1, 6):
         state.apply_open(seat, seat)
+    state.apply_steal(6, 3)
     got = target_values(state, 3, vm, params)
     assert got == {g: pytest.approx(vm.values[3 - 1, g - 1]) for g in (1, 2, 4, 5)}
 

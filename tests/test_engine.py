@@ -48,7 +48,7 @@ def test_initial_state_two_players():
     s = GameState(2)
     assert s.wrapped == [1, 2]
     assert all(s.ownership[p] is None for p in (1, 2))
-    assert s.round == 1 and s.displaced is None
+    assert s.round == 1 and s.to_act == 1
 
 
 def test_initial_state_29_players():
@@ -122,7 +122,7 @@ def pass_gift_one(limits, steals):
 
 def test_lifetime_cap_blocks():
     s = pass_gift_one(StealLimits(1, 3), 3)
-    s.apply_open(s.displaced, s.wrapped[0])  # the chain lock lifts
+    s.apply_open(s.to_act, s.wrapped[0])  # the chain lock lifts
     assert s.total_steals[1] == 3
     assert not s.stealable(1)
 
@@ -131,7 +131,7 @@ def test_zero_means_unlimited():
     s = pass_gift_one(StealLimits(0, 0), 4)
     assert s.total_steals[1] == 4
     assert not s.stealable(1)  # a zero cap never lifts the chain lock
-    s.apply_open(s.displaced, s.wrapped[0])
+    s.apply_open(s.to_act, s.wrapped[0])
     assert s.stealable(1)
 
 
@@ -183,9 +183,9 @@ def test_open_terminates_chain_and_clears_locks():
     s.apply_open(1, 1)
     s.apply_open(2, 2)
     s.apply_steal(3, 2)
-    assert s.chain_locked == {2} and s.displaced == 2
+    assert s.chain_locked == {2} and s.to_act == 2
     s.apply_open(2, 3)
-    assert s.chain_locked == set() and s.displaced is None
+    assert s.chain_locked == set() and s.to_act == 4
     assert s.round == 4
     assert s.stealable(2) and scan_takes(s, 4, 2)
 
@@ -201,7 +201,7 @@ def test_terminal_open_enters_swap_phase():
     s = GameState(2)
     s.apply_open(1, 1)
     s.apply_open(2, 2)
-    assert s.swap_pending and not s.concluded
+    assert s.to_act is None and not s.concluded
 
 
 def test_chain_example_bookkeeping():
@@ -215,7 +215,7 @@ def test_chain_example_bookkeeping():
     assert s.ownership[7] == 3 and s.ownership[4] is None
     assert s.chain_locked == {3} and s.total_steals[3] == 1
     assert not s.stealable(3) and not scan_takes(s, 4, 3)
-    assert s.displaced == 4
+    assert s.to_act == 4
     s.apply_steal(4, 2)
     assert s.chain_locked == {3, 5}
     with pytest.raises(IllegalMoveError):
@@ -232,6 +232,53 @@ def test_steal_from_empty_handed_victim_is_illegal():
     s.apply_open(1, 1)
     with pytest.raises(IllegalMoveError):
         s.apply_steal(2, 3)
+
+
+def fields(s):
+    """What a refused move must leave as it was."""
+    return (list(s.ownership), list(s.holder), list(s.takeable),
+            bytes(s.offer), s.round, s.to_act)
+
+
+def refused(s, error, move, *args):
+    before = fields(s)
+    with pytest.raises(error):
+        move(s, *args)
+    assert fields(s) == before
+
+
+@pytest.mark.parametrize("seat", [0, -1, 5, True, 1.0, None, 2, 3, 4],
+                         ids=repr)
+def test_only_the_seat_to_act_moves(seat):
+    """Mid-chain in round 3 of 4, seat 1 is to act: it may open gift 3 or 4
+    or steal gift 2 from seat 2. Any other actor is refused, whether it is
+    no seat, an id that only compares equal to 1, a seat holding a gift or
+    an empty-handed seat out of turn, and the state is left as it was."""
+    s = steal_then_open(1)
+    assert s.to_act == 1 and s.legal_actions(1) == [Open(3), Open(4), Steal(2)]
+    refused(s, IllegalMoveError, GameState.apply_open, seat, 3)
+    refused(s, IllegalMoveError, GameState.apply_steal, seat, 2)
+    s.apply_steal(1, 2)
+    assert s.to_act == 2
+
+
+def test_self_steal_is_refused():
+    """The seat to act holds nothing, so stealing from itself is a steal
+    from an empty-handed seat."""
+    s = steal_then_open(1)
+    refused(s, IllegalMoveError, GameState.apply_steal, 1, 1)
+
+
+def test_no_open_or_steal_after_the_last_round():
+    s = GameState(3)
+    for k in (1, 2, 3):
+        s.apply_open(k, k)
+    assert s.to_act is None
+    for actor in (1, 3, 4, None):
+        refused(s, PhaseError, GameState.apply_open, actor, 1)
+        refused(s, PhaseError, GameState.apply_steal, actor, 2)
+    s.final_swap(2)
+    refused(s, PhaseError, GameState.apply_open, 3, 1)
 
 
 # -- final swap --------------------------------------------------------------
@@ -257,9 +304,18 @@ def test_final_swap_is_an_involution():
     assert s.ownership[1] == 3 and s.ownership[3] == 1
     # applying the exchange again restores the original assignment
     s.concluded = False
-    s.swap_pending = True
     s.final_swap(3)
     assert s.ownership[1] == 1 and s.ownership[3] == 3
+
+
+def test_second_final_swap_is_phase_error():
+    s = GameState(3)
+    for k in (1, 2, 3):
+        s.apply_open(k, k)
+    s.final_swap(2)
+    refused(s, PhaseError, GameState.final_swap, 3)
+    refused(s, PhaseError, GameState.final_swap, None)
+    assert s.ownership[1:] == [2, 1, 3] and s.concluded
 
 
 def test_final_swap_before_round_n_is_phase_error():
@@ -439,9 +495,10 @@ def test_actions_refuse_any_assignment(action):
 
 
 def test_records_differing_only_in_action_kind_compare_unequal():
-    """`open-turned-steal` above is refused by the self-steal check, since
-    replay hands the log's own action to the round loop; this pins that an
-    open and a steal of the same number never compare equal."""
+    """`open-turned-steal` above is refused because the seat to act holds
+    nothing to steal, since replay hands the log's own action to the round
+    loop; this pins that an open and a steal of the same number never
+    compare equal."""
     assert Open(3) != Steal(3)
     assert Open(3) == Open(3)
     opened = ActionRecord(3, Open(3), 3, 0, 3)
@@ -457,8 +514,8 @@ def test_ownership_injective_after_every_transition(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     state = GameState(n)
-    while not state.swap_pending:
-        actor = state.round if state.displaced is None else state.displaced
+    while state.to_act is not None:
+        actor = state.to_act
         actions = state.legal_actions(actor)
         assert actions, "a wrapped gift must always remain mid-game"
         action = actions[int(rng.integers(0, len(actions)))]
@@ -472,8 +529,8 @@ def test_ownership_injective_after_every_transition(seed):
             g for g in range(1, n + 1) if state.holder[g] is None)
         opened = n - len(state.wrapped)
         # after round k completes, exactly k gifts are opened
-        if state.displaced is None:
-            assert opened == (state.round - 1 if not state.swap_pending else n)
+        if isinstance(action, Open):
+            assert opened == (n if state.to_act is None else state.round - 1)
 
 
 def test_exactly_k_opened_after_round_k():
@@ -524,12 +581,12 @@ def test_best_target_matches_stealable(seed):
     n = int(rng.integers(2, 9))
     state = GameState(n, StealLimits(int(rng.integers(0, 3)),
                                          int(rng.integers(0, 4))))
-    while not state.swap_pending:
+    while state.to_act is not None:
         for a in range(1, n + 1):
             for g in state.opened_order:
                 assert scan_takes(state, a, g) == (
                     state.ownership[a] is None and state.stealable(g))
-        actor = state.round if state.displaced is None else state.displaced
+        actor = state.to_act
         actions = state.legal_actions(actor)
         action = actions[int(rng.integers(0, len(actions)))]
         if isinstance(action, Open):
@@ -564,10 +621,10 @@ def enumerate_trajectories(n, limits):
 
     def walk(state):
         nonlocal count
-        if state.swap_pending:
+        if state.to_act is None:
             count += 1
             return
-        actor = state.round if state.displaced is None else state.displaced
+        actor = state.to_act
         for action in state.legal_actions(actor):
             nxt = copy.deepcopy(state)
             if isinstance(action, Open):
@@ -590,10 +647,10 @@ def test_enumeration_two_players_two_outcomes():
     allocations = set()
 
     def walk(state):
-        if state.swap_pending:
+        if state.to_act is None:
             allocations.add(tuple(state.ownership[1:]))
             return
-        actor = state.round if state.displaced is None else state.displaced
+        actor = state.to_act
         for action in state.legal_actions(actor):
             nxt = copy.deepcopy(state)
             if isinstance(action, Open):

@@ -412,10 +412,10 @@ def test_mean_chain_length_is_pooled_over_nonzero_chains():
 
 
 def test_every_decision_is_made_empty_handed(monkeypatch):
-    """`apply_open` and `apply_steal` refuse an actor holding a gift, so
-    every seat that scans is empty-handed in every game played: all 48
-    conditions at n = 2, 3 and 7, and the 24 SC-off conditions at n = 65,
-    where play passes each seat's `top_table`."""
+    """`apply_open` and `apply_steal` refuse every actor but `to_act`, who
+    holds nothing, so every seat that scans is empty-handed in every game
+    played: all 48 conditions at n = 2, 3 and 7, and the 24 SC-off
+    conditions at n = 65, where play passes each seat's `top_table`."""
     holdings, tables = [], 0
     scan = strategies.best_target
 
@@ -511,7 +511,7 @@ def test_unseen_row_total_adds_left_to_right():
     # builtin sum from Python 3.12) keeps the two 1e-16 and ends a float up.
     row = [0.0, 1.0, 1e-16, 1e-16]
     assert left_to_right(row) != math.fsum(row)
-    sums = harness._SeenSums([[0.0] * 4, row], np.array([row[1:]]))
+    sums = harness._SeenSums([[0.0] * 4, row])
     assert sums.unseen(1, []) == left_to_right(row)
 
 
@@ -527,7 +527,7 @@ def test_seen_sums_match_the_per_open_column_add(seed):
     padded = np.zeros((n + 1, n + 1))
     padded[1:, 1:] = values
     rows = padded.tolist()
-    sums = harness._SeenSums(rows, values)
+    sums = harness._SeenSums(rows)
     opened = []
     for g in rng.permutation(n) + 1:
         opened.append(int(g))

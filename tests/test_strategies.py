@@ -83,8 +83,8 @@ def test_best_target_walks_on_through_a_tie_at_the_bound():
 
 def test_best_target_answers_none_to_a_seat_holding_a_top_gift():
     # Seat 2 holds gift 2 and seat 3 gift 3, both at seat 2's top value 1.0;
-    # then seat 2 alone holds its top gift. `apply_steal` refuses a thief
-    # holding a gift, so seat 2 gets no target, with or without its table.
+    # then seat 2 alone holds its top gift. Only the seat to act moves, and
+    # it holds nothing, so seat 2 gets no target, with or without its table.
     state = GameState(4)
     for seat in range(1, 4):
         state.apply_open(seat, seat)
@@ -103,8 +103,8 @@ def tie_table(values):
 
 
 def full_scan(state, actor, values, social, params):
-    """The reference scan: None for an actor holding a gift, whom
-    `apply_steal` refuses; else every opened gift, in opening order, no
+    """The reference scan: None for an actor holding a gift, which is never
+    the seat to act; else every opened gift, in opening order, no
     early exit, legality recomputed from `chain_locked` and `total_steals`
     rather than read from the `takeable` flags. `best_target` must return
     exactly what this returns."""
@@ -191,7 +191,7 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                 for _ in range(int(rng.integers(0, 3))):
                     social.note_steal(thief, victim)
             social.steals_committed[thief] = committed
-        while not state.swap_pending:
+        while state.to_act is not None:
             for actor in range(1, n + 1):
                 row = V[actor]
                 listed = shuffled_order(row, rng)
@@ -208,7 +208,7 @@ def test_sorted_walk_matches_full_scan(kind, quantized, rows):
                                            params) == want
                         assert best_target(state, actor, row, order, sc,
                                            params, table) == want
-            actor = state.round if state.displaced is None else state.displaced
+            actor = state.to_act
             actions = state.legal_actions(actor)
             action = actions[int(rng.integers(0, len(actions)))]
             if isinstance(action, Open):
@@ -282,6 +282,13 @@ def test_played_games_scan_as_the_full_scan(monkeypatch):
 
 
 # -- decision rules ---------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["always_steal", None, 3])
+def test_decide_refuses_a_kind_that_is_not_a_strategy(kind):
+    # Even the value of a member is not the member.
+    with pytest.raises(ValueError, match="unknown strategy"):
+        run(kind, best=(2, 0.9, 0.9))
+
 
 def test_always_open_opens():
     assert run(Strategy.ALWAYS_OPEN, best=(2, 0.9, 0.9)) is None
