@@ -131,6 +131,8 @@ def brute_force_count(n: int, limits: StealLimits) -> int:
     if n > _BRUTE_FORCE_MAX:
         raise ConfigurationError(f"player count must be <= {_BRUTE_FORCE_MAX} "
                                  f"for brute-force enumeration, got {n}")
+    if not isinstance(limits, StealLimits):
+        raise ConfigurationError(f"limits must be a StealLimits, got {limits!r}")
     per_round, lifetime = limits.per_round, limits.lifetime
     totals: list[int] = []  # lifetime steal count per opened gift, in open order
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .errors import IllegalMoveError, PhaseError, require_int
+from .errors import (ConfigurationError, IllegalMoveError, PhaseError,
+                     require_int)
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,9 @@ class GameState:
     def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
         """Fresh state: everything wrapped and unowned, round 1."""
         require_int("player count", n, 1)
+        if not isinstance(limits, StealLimits):
+            raise ConfigurationError(
+                f"limits must be a StealLimits, got {limits!r}")
         self.n = n
         self.limits = limits
         self.ownership: list[Optional[int]] = [None] * (n + 1)

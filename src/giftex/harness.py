@@ -4,7 +4,9 @@ The factorial crosses all 16 feature subsets with the three valuation models
 (48 conditions). Every game gets its own generator seeded from
 ``(base_seed, condition index, game index)``, so results are independent of
 execution order and worker count; a game is ``draw_inputs``, whose draws no
-feature changes, then ``play`` on the same generator.
+feature changes, then ``play`` on the same generator. A ``GameInputs`` is
+checked and indexed once, when made, so any number of plays can share it;
+``play`` builds only per-play state.
 
 Per-game metrics: total steals, chain lengths, each seat's true value of its
 final gift, and the same values grouped by strategy. Seat and strategy metrics
@@ -158,11 +160,45 @@ def enumerate_conditions(config: ExperimentConfig) -> list[Condition]:
 
 @dataclass(frozen=True)
 class GameInputs:
-    """One game's drawn inputs, which no feature changes (index 0 = seat 1)."""
+    """One game's drawn inputs, which no feature changes (index 0 = seat 1),
+    checked and indexed once, when made, for any number of plays to share.
+    The indexes, attributes but not fields, are read-only views from seat 1:
+    `rows[seat][gift]`, float64 with gift 0 unused, and `orders[seat]`, the
+    gift ids by descending value."""
 
     valuations: ValuationMatrix
     appearance: AppearanceVector
     strategies: tuple[Strategy, ...]
+
+    def __post_init__(self) -> None:
+        vm, app, assigned = self.valuations, self.appearance, self.strategies
+        n = len(assigned)
+        require_int("player count", n, 1)
+        if set(map(type, assigned)) != {Strategy}:
+            bad = next(s for s in assigned if type(s) is not Strategy)
+            raise ConfigurationError(
+                f"strategies must be Strategy members, got {bad!r}")
+        for part, shape, want in (("valuations.values", vm.values.shape, (n, n)),
+                                  ("appearance.signals", app.signals.shape, (n,))):
+            if shape != want:
+                raise ConfigurationError(
+                    f"{part} has shape {shape}, not {want} for {n} strategies")
+        padded = np.zeros((n + 1, n + 1))
+        padded[1:, 1:] = vm.values
+        ids = (-vm.values).argsort(axis=1).astype(np.min_scalar_type(n))
+        ids += 1
+        padded.flags.writeable = ids.flags.writeable = False
+        # Items of a view read as the Python floats and ints `tolist` makes.
+        flat = memoryview(padded.reshape(-1))
+        object.__setattr__(self, "rows", tuple(
+            [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]))
+        flat = memoryview(ids.reshape(-1))
+        object.__setattr__(self, "orders", (
+            None, *[flat[i:i + n] for i in range(0, n * n, n)]))
+
+    def __reduce__(self):
+        # Views do not pickle: a copy is made from the drawn parts.
+        return GameInputs, (self.valuations, self.appearance, self.strategies)
 
 
 @dataclass(frozen=True)
@@ -282,9 +318,13 @@ class _Draws:
         self.source.random_raw(self.fetched - len(self.words), output=False)
 
 
-def _require_playable(rng: np.random.Generator, features) -> None:
-    """Refuse a generator play cannot read by the word, and features that
-    are not a set of `Feature` members (play would read them as absent)."""
+def _require_playable(rng: np.random.Generator, features, params) -> None:
+    """Refuse a generator play cannot read by the word, features that are
+    not a set of `Feature` members (play would read them as absent), and
+    params that are not a `BehaviorParams`."""
+    if not isinstance(params, BehaviorParams):
+        raise ConfigurationError(
+            f"params must be a BehaviorParams, got {params!r}")
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ConfigurationError(
             "play needs a PCG64 generator, got "
@@ -303,9 +343,9 @@ def play_game(
     params: BehaviorParams,
     rng: np.random.Generator,
 ) -> PlayedGame:
-    """Draw one game's inputs and play them; a non-PCG64 `rng` or features
-    play cannot read are refused before any draw."""
-    _require_playable(rng, features)
+    """Draw one game's inputs and play them; a non-PCG64 `rng`, or features
+    or params play cannot read, are refused before any draw."""
+    _require_playable(rng, features, params)
     return play(draw_inputs(model, n, params, rng), limits, features, params,
                 rng)
 
@@ -323,41 +363,17 @@ def draw_inputs(model: ValuationModel, n: int, params: BehaviorParams,
 
 def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
          params: BehaviorParams, rng: np.random.Generator) -> PlayedGame:
-    """Play one decorated game from its inputs. `rng` must be a PCG64
-    generator (`default_rng`'s): play's scalar draws read its raw words
-    through `_Draws`, which leaves it where numpy's own calls would. The
-    inputs' parts must agree on the seat count, that of `strategies`, a
-    tuple of `Strategy` members; `features` must be a set of `Feature`
-    members. Bad inputs are refused before any draw."""
-    _require_playable(rng, features)
-    vm, app, assigned = inputs.valuations, inputs.appearance, inputs.strategies
+    """Play one decorated game from its inputs, which it reads and never
+    writes. `rng` must be a PCG64 generator (`default_rng`'s): play's scalar
+    draws read its raw words through `_Draws`, which leaves it where numpy's
+    own calls would. `features` must be a set of `Feature` members. Bad
+    arguments are refused before any draw."""
+    _require_playable(rng, features, params)
+    app, assigned = inputs.appearance, inputs.strategies
     n = len(assigned)
-    require_int("player count", n, 1)
-    if set(map(type, assigned)) != {Strategy}:
-        bad = next(s for s in assigned if type(s) is not Strategy)
-        raise ConfigurationError(
-            f"strategies must be Strategy members, got {bad!r}")
-    for part, shape, want in (("valuations.values", vm.values.shape, (n, n)),
-                              ("appearance.signals", app.signals.shape, (n,))):
-        if shape != want:
-            raise ConfigurationError(
-                f"{part} has shape {shape}, not {want} for {n} strategies")
     by_seat = (None,) + assigned  # seat-indexed
-
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = vm.values
-    # V[seat][gift], row and column 0 unused: a float64 view per seat, whose
-    # items read as the same Python floats `tolist` makes, built per read.
-    flat = memoryview(padded.reshape(-1))
-    V = [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]
+    V, order = inputs.rows, inputs.orders
     seen = _SeenSums(V)
-    # order[seat]: gift ids by descending value, for `best_target`'s walk;
-    # a view per seat of one id array of the smallest type that holds n,
-    # whose items read as Python ints.
-    ids = (-vm.values).argsort(axis=1).astype(np.min_scalar_type(n))
-    ids += 1
-    flat_ids = memoryview(ids.reshape(-1))
-    order = [None] + [flat_ids[i:i + n] for i in range(0, n * n, n)]
 
     pi_on = Feature.PI in features
     sc_on = Feature.SC in features

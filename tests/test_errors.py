@@ -1,15 +1,22 @@
 """Every integer count of the package is checked by `errors.require_int`: a
 bool, a float, a string or a value below the count's minimum is refused with
-a `ConfigurationError` that names the field, never coerced."""
+a `ConfigurationError` that names the field, never coerced. Every record
+argument, a `StealLimits` or a `BehaviorParams`, is refused by name when it
+is of any other type, before any draw."""
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from giftex.behavior import BehaviorParams
 from giftex.counting import (brute_force_count, count_trajectories,
                              round_action_count)
-from giftex.engine import STANDARD_LIMITS, GameState, StealLimits
+from giftex.engine import (STANDARD_LIMITS, GameState, Open, StealLimits,
+                           replay, run_game)
 from giftex.errors import ConfigurationError
-from giftex.harness import (ExperimentConfig, enumerate_conditions,
+from giftex.harness import (ExperimentConfig, draw_inputs,
+                            enumerate_conditions, game_rng, play, play_game,
                             run_experiment)
 from giftex.valuation import ModelKind, ValuationModel, generate_valuations
 
@@ -53,3 +60,48 @@ def test_every_count_is_refused_by_name(entry, bad):
     with pytest.raises(ConfigurationError, match=f"^{name} must be "):
         call(value)
     call(minimum)  # the minimum itself is accepted
+
+
+def opener(state, actor, rng):
+    """Open the lowest wrapped gift."""
+    return Open(state.wrapped[0])
+
+
+MODEL = CONFIG.model_for(ModelKind.INDEPENDENT)
+INPUTS = draw_inputs(MODEL, 4, CONFIG.behavior, game_rng(1, 0, 0))
+LOG = run_game(4, STANDARD_LIMITS, opener).trajectory
+
+# (entry point taking the record and a generator, the field its message
+# names, an accepted record)
+RECORDS = {
+    "GameState": (lambda v, rng: GameState(4, v), "limits", STANDARD_LIMITS),
+    "run_game": (lambda v, rng: run_game(4, v, opener), "limits",
+                 STANDARD_LIMITS),
+    "replay": (lambda v, rng: replay(4, v, LOG), "limits", STANDARD_LIMITS),
+    "brute_force_count": (lambda v, rng: brute_force_count(4, v), "limits",
+                          STANDARD_LIMITS),
+    "play.limits": (
+        lambda v, rng: play(INPUTS, v, frozenset(), CONFIG.behavior, rng),
+        "limits", STANDARD_LIMITS),
+    "play.params": (
+        lambda v, rng: play(INPUTS, CONFIG.limits, frozenset(), v, rng),
+        "params", CONFIG.behavior),
+    "play_game.params": (
+        lambda v, rng: play_game(4, CONFIG.limits, MODEL, frozenset(), v, rng),
+        "params", CONFIG.behavior),
+}
+
+
+@pytest.mark.parametrize("bad", ["none", "tuple", "other-record"])
+@pytest.mark.parametrize("entry", RECORDS)
+def test_every_record_is_refused_by_name(entry, bad):
+    call, name, good = RECORDS[entry]
+    value = {"none": None, "tuple": astuple(good),
+             "other-record": (BehaviorParams() if type(good) is StealLimits
+                              else STANDARD_LIMITS)}[bad]
+    rng = game_rng(1, 0, 1)
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be a {type(good).__name__}, got "):
+        call(value, rng)
+    assert rng.bit_generator.state == game_rng(1, 0, 1).bit_generator.state
+    call(good, rng)  # the record itself is accepted

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -853,7 +854,8 @@ def test_play_from_inputs_refuses_a_generator_it_cannot_read_by_the_word():
 def test_play_refuses_features_and_strategies_it_cannot_use():
     """Play would read features that are not `Feature` members as absent,
     and would meet strategies that are not `Strategy` members only at a
-    decision with a target. Both are refused by name before any draw."""
+    decision with a target. Features are refused by name before any draw;
+    strategies by name when the inputs are made, so play never sees them."""
     model = SMALL.model_for(ModelKind.INDEPENDENT)
     for features in (frozenset(f.value for f in Feature), {"pi"},
                      frozenset({Feature.PI, "sc"}), (Feature.PI,), "pi"):
@@ -863,45 +865,115 @@ def test_play_refuses_features_and_strategies_it_cannot_use():
         assert rng.bit_generator.state == game_rng(7, 0, 1).bit_generator.state
     good = draw_inputs(model, 6, SMALL.behavior, game_rng(7, 0, 0))
     one = draw_inputs(model, 1, SMALL.behavior, game_rng(7, 0, 0))
-    for inputs in (replace(good, strategies=tuple(
-                       s.value for s in good.strategies)),
-                   replace(good, strategies=good.strategies[:-1] + (None,)),
-                   replace(one, strategies=("nonsense",))):
-        for features in (frozenset(), frozenset(Feature)):
-            rng = game_rng(7, 0, 1)
-            with pytest.raises(ConfigurationError, match="strategies"):
-                play(inputs, SMALL.limits, features, SMALL.behavior, rng)
-            assert rng.bit_generator.state == (
-                game_rng(7, 0, 1).bit_generator.state)
+    for inputs, strats in ((good, tuple(s.value for s in good.strategies)),
+                           (good, good.strategies[:-1] + (None,)),
+                           (one, ("nonsense",))):
+        with pytest.raises(ConfigurationError, match="strategies"):
+            replace(inputs, strategies=strats)
 
 
 def test_play_refuses_inputs_whose_parts_disagree_in_size():
-    """`play` takes the seat count from the strategies. Seven signals for a
-    6-gift matrix, a strategies tuple one seat short, or no seat at all are
-    refused by the part that does not fit, before any draw; the inputs
-    `draw_inputs` makes still play."""
+    """`GameInputs` takes the seat count from the strategies. Seven signals
+    for a 6-gift matrix, a strategies tuple one seat short, or no seat at all
+    are refused by the part that does not fit when the inputs are made; the
+    inputs `draw_inputs` makes still play."""
     good = draw_inputs(SMALL.model_for(ModelKind.INDEPENDENT), 6,
                        SMALL.behavior, game_rng(7, 0, 0))
     signals = np.append(good.appearance.signals, 0.5)
-    empty = GameInputs(replace(good.valuations, values=np.zeros((0, 0))),
-                       replace(good.appearance, signals=np.zeros(0)), ())
-    cases = ((replace(good, appearance=replace(good.appearance,
-                                               signals=signals)),
-              "appearance.signals"),
-             (replace(good, strategies=good.strategies[:-1]),
-              "valuations.values"),
-             (empty, "player count"))
+    with pytest.raises(ConfigurationError, match="appearance.signals"):
+        replace(good, appearance=replace(good.appearance, signals=signals))
+    with pytest.raises(ConfigurationError, match="valuations.values"):
+        replace(good, strategies=good.strategies[:-1])
+    with pytest.raises(ConfigurationError, match="player count"):
+        GameInputs(replace(good.valuations, values=np.zeros((0, 0))),
+                   replace(good.appearance, signals=np.zeros(0)), ())
     for features in (frozenset(), frozenset({Feature.BS}),
                      frozenset({Feature.PI, Feature.BS})):
-        for inputs, part in cases:
-            rng = game_rng(7, 0, 1)
-            with pytest.raises(ConfigurationError, match=part):
-                play(inputs, SMALL.limits, features, SMALL.behavior, rng)
-            assert rng.bit_generator.state == (
-                game_rng(7, 0, 1).bit_generator.state)
         game = play(good, SMALL.limits, features, SMALL.behavior,
                     game_rng(7, 0, 1))
         assert len(game.seat_values) == 6
+
+
+def rng_at(state):
+    """A fresh PCG64 generator at a copy of `state`."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize("n", [7, 29, 65, 256])
+def test_one_inputs_play_every_subset_as_fresh_games_do(n):
+    """Per model, one `GameInputs` and the generator state after its draws
+    play all 16 feature subsets as 16 fresh `play_game` calls on the same
+    key do: the same moves, seat values and final generator state, on both
+    sides of the 64-gift and 255-seat size switches."""
+    cfg = ExperimentConfig(n_players=n)
+    for mi, kind in enumerate(harness.MODEL_ORDER):
+        model = cfg.model_for(kind)
+        rng = game_rng(17, mi, n)
+        inputs = draw_inputs(model, n, cfg.behavior, rng)
+        state = rng.bit_generator.state
+        for cond in enumerate_conditions(cfg)[16 * mi:16 * mi + 16]:
+            fresh = game_rng(17, mi, n)
+            want = play_game(n, cfg.limits, model, cond.features,
+                             cfg.behavior, fresh)
+            shared = rng_at(state)
+            got = play(inputs, cfg.limits, cond.features, cfg.behavior, shared)
+            assert got.inputs is inputs
+            assert game_line(got) == game_line(want), cond.label
+            assert shared.bit_generator.state == fresh.bit_generator.state
+
+
+def index_bytes(inputs):
+    return [bytes(v) for v in inputs.rows + inputs.orders[1:]]
+
+
+@pytest.mark.parametrize("n", [29, 256])
+def test_play_reads_the_indexes_and_cannot_write_them(n):
+    """`rows` and `orders` (uint8 ids at 29, uint16 at 256) hold the same
+    bytes after a BASE and a FULL play of every model; a write through a
+    view, or through an array made from one, raises."""
+    cfg = ExperimentConfig(n_players=n)
+    for mi, kind in enumerate(harness.MODEL_ORDER):
+        inputs = draw_inputs(cfg.model_for(kind), n, cfg.behavior,
+                             game_rng(19, mi, n))
+        before = index_bytes(inputs)
+        for features in (frozenset(), ALL_FEATURES):
+            play(inputs, cfg.limits, features, cfg.behavior,
+                 game_rng(19, mi, 0))
+        assert index_bytes(inputs) == before
+        for view, item in ((inputs.rows[1], 0.5), (inputs.orders[1], 1)):
+            assert view.readonly
+            with pytest.raises(TypeError):
+                view[1] = item
+            with pytest.raises(ValueError, match="read-only"):
+                np.asarray(view)[1] = item
+    assert [len(v) for v in inputs.rows] == [n + 1] * (n + 1)
+    assert inputs.rows[1].format == "d"
+    assert inputs.orders[0] is None
+    assert inputs.orders[1].format == ("B" if n < 256 else "H")
+    assert [len(v) for v in inputs.orders[1:]] == [n] * n
+
+
+def test_copied_inputs_play_the_same_game():
+    """A pickled, deep-copied, shallow-copied or `replace`d `GameInputs` is
+    indexed afresh and plays the game the original plays."""
+    cfg = ExperimentConfig(n_players=29)
+    for mi, kind in enumerate(harness.MODEL_ORDER):
+        rng = game_rng(23, mi, 0)
+        inputs = draw_inputs(cfg.model_for(kind), 29, cfg.behavior, rng)
+        state = rng.bit_generator.state
+        want = game_line(play(inputs, cfg.limits, ALL_FEATURES, cfg.behavior,
+                              rng_at(state)))
+        for copied in (pickle.loads(pickle.dumps(inputs)),
+                       copy.deepcopy(inputs), copy.copy(inputs),
+                       replace(inputs),
+                       replace(inputs, strategies=inputs.strategies)):
+            assert copied is not inputs and copied.rows is not inputs.rows
+            assert index_bytes(copied) == index_bytes(inputs)
+            got = play(copied, cfg.limits, ALL_FEATURES, cfg.behavior,
+                       rng_at(state))
+            assert game_line(got) == want
 
 
 @pytest.mark.parametrize("n", [7, 65])

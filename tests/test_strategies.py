@@ -12,12 +12,13 @@ from giftex import harness, strategies
 from giftex.behavior import (BehaviorParams, Feature, SocialState,
                              selection_weights)
 from giftex.engine import GameState, Open, StealLimits
-from giftex.harness import (ExperimentConfig, enumerate_conditions,
-                            run_condition)
+from giftex.harness import (ExperimentConfig, GameInputs,
+                            enumerate_conditions, run_condition)
 from giftex.strategies import (C_DRAW_ABOVE, STRATEGY_ORDER, Strategy,
                                best_target, choose_open_gift, decide,
                                top_table)
-from giftex.valuation import ModelKind, ValuationModel, generate_valuations
+from giftex.valuation import (AppearanceVector, ModelKind, ValuationMatrix,
+                              ValuationModel, generate_valuations)
 from reference import by_value
 
 
@@ -152,13 +153,13 @@ def list_rows(values):
 
 
 def view_rows(values):
-    """V[seat][gift] as `play` builds it: one float64 view per row of
-    the zero-padded matrix."""
+    """V[seat][gift] as play reads it: the `rows` a `GameInputs` of these
+    values builds."""
     n = len(values)
-    padded = np.zeros((n + 1, n + 1))
-    padded[1:, 1:] = values
-    flat = memoryview(padded.reshape(-1))
-    return [flat[i:i + n + 1] for i in range(0, (n + 1) ** 2, n + 1)]
+    vm = ValuationMatrix(values, values.mean(axis=0),
+                         ValuationModel(ModelKind.INDEPENDENT))
+    return GameInputs(vm, AppearanceVector(np.zeros(n), 0.3),
+                      (Strategy.ALWAYS_STEAL,) * n).rows
 
 
 @pytest.mark.parametrize("rows", [list_rows, view_rows])
