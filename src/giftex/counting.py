@@ -16,7 +16,11 @@ profiles (m_0..m_L), where m_i is the number of opened gifts stolen i times.
 Gifts on one level are interchangeable, so the profile is a sufficient state.
 A chain that takes k_i gifts from each level i < L can be ordered in
 (sum k)! * prod C(m_i, k_i) ways; `count_chains` sums that over the choices
-without enumerating the orders.
+without enumerating the orders. It takes a whole round's profiles at once and
+folds one level at a time across all of them, so profiles that meet merge
+before the next level. Its keys pack a (profile, chain length) pair into one
+integer, a digit per level and the chain length on top, each digit as many
+bits as the round's largest profile total needs, so any n fits.
 
 Everything returns exact Python integers and keeps no state between calls;
 `brute_force_count` is a deliberately naive enumeration oracle for
@@ -25,6 +29,7 @@ cross-checking both routes at small n.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import comb, factorial
 from typing import Iterator
 
@@ -59,41 +64,67 @@ def round_action_count(k: int) -> int:
     return a
 
 
-def count_chains(profile: Profile, lifetime: int) -> dict[Profile, int]:
-    """Count every nonempty stealing chain from a level profile.
+def count_chains(weighted: tuple[tuple[Profile, int], ...],
+                 lifetime: int) -> dict[Profile, int]:
+    """Count every stealing chain, the empty one included, from each of a
+    round's weighted level profiles.
 
-    `profile` is (m_0..m_lifetime); gifts on levels below `lifetime` are
-    stealable. A chain steals distinct gifts (a stolen gift is chain-locked
-    until the round's open), moving each up one level. The result maps the
-    profile after the chain's steals to the number of ordered chains reaching
-    it. Levels are folded from the top down, so a gift moved up onto a level
-    already folded is never taken twice; the (chain length)! orderings are
-    applied once at the end.
+    `weighted` holds (profile, ways) pairs, each profile (m_0..m_lifetime);
+    gifts on levels below `lifetime` (at least 1) are stealable. A chain
+    steals distinct gifts (a stolen gift is chain-locked until the round's
+    open), moving each up one level. The result maps each profile after a
+    chain's steals to the sum, over the pairs, of `ways` times the number of
+    ordered chains from that pair's profile reaching it; the empty chain
+    leaves a profile as it is, once.
+
+    Levels are folded from the top down, so a gift moved up onto a level
+    already folded is never taken twice, and each level is folded across all
+    the profiles at once, so profiles that meet merge before the next level.
+    A (profile, chain length) pair is one integer with a digit of `width`
+    bits per level and the chain length as the top digit, so taking k gifts
+    from a level is `key + k * up` and reading m_i is a shift and a mask.
+    No digit exceeds the largest profile total, which `width` holds. Level 0
+    is folded straight into the result, with the (chain length)! orderings.
     """
-    # Distinct choices of the k_i reach distinct profiles: nothing to merge.
-    partial = [(profile, 0, 1)]  # (profile so far, chain length, ways)
-    for level in range(lifetime - 1, -1, -1):
-        folded = []
-        for counts, length, ways in partial:
-            folded.append((counts, length, ways))  # take none from this level
-            available = counts[level]
-            head, above, tail = counts[:level], counts[level + 1], counts[level + 2:]
-            for k in range(1, available + 1):
-                folded.append((head + (available - k, above + k) + tail,
-                               length + k, ways * comb(available, k)))
+    require_int("lifetime", lifetime, 1)
+    top = max((sum(profile) for profile, _ in weighted), default=0)
+    width = max(top.bit_length(), 1)
+    mask = (1 << width) - 1
+    shifts = range(0, width * (lifetime + 1), width)  # m_i's digit
+    length_shift = shifts.stop
+    binomials = [[comb(m, k) for k in range(m + 1)] for m in range(top + 1)]
+    partial = defaultdict(int)  # (profile, chain length) key -> ways
+    for profile, ways in weighted:
+        partial[sum(m << shift for m, shift in zip(profile, shifts))] += ways
+    for shift in reversed(shifts[1:-1]):  # levels lifetime-1 .. 1
+        # One gift from this level to the next, and the chain one longer.
+        up = (1 << (shift + width)) - (1 << shift) + (1 << length_shift)
+        moves = range(0, (top + 1) * up, up)
+        folded = defaultdict(int)
+        for key, ways in partial.items():
+            for move, c in zip(moves, binomials[key >> shift & mask]):
+                folded[key + move] += ways * c
         partial = folded
-    return {counts: ways * factorial(length)
-            for counts, length, ways in partial if length}
+    moves = range(0, (top + 1) * mask, mask)  # k gifts from level 0 to 1
+    factorials = [factorial(s) for s in range(top + 1)]
+    chained = defaultdict(int)
+    for key, ways in partial.items():
+        counts = key & ((1 << length_shift) - 1)
+        for move, c, orders in zip(moves, binomials[key & mask],
+                                   factorials[key >> length_shift:]):
+            chained[counts + move] += ways * c * orders
+    return {tuple(key >> shift & mask for shift in shifts): ways
+            for key, ways in chained.items()}
 
 
 def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
     """Exact trajectory count under a lifetime steal cap (0 = unlimited).
 
     The unlimited branch is the closed form T(n) = n! * prod A(k). Otherwise
-    a round-by-round DP over level profiles: from each reachable profile,
-    either open immediately or run any chain from `count_chains`, then add
-    the opened gift on level 0. The final multiplication by n! restores which
-    physical gift was opened each round.
+    a round-by-round DP over level profiles: `count_chains` takes a round's
+    reachable profiles through every chain, the empty one included, then the
+    opened gift is added on level 0. The final multiplication by n! restores
+    which physical gift was opened each round.
     """
     require_int("player count", n, 1)
     require_int("lifetime", lifetime, 0)
@@ -104,12 +135,7 @@ def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
     lifetime = min(lifetime, n - 1)
     states: dict[Profile, int] = {(1,) + (0,) * lifetime: 1}  # after round 1
     for _ in range(2, n + 1):
-        chained: dict[Profile, int] = {}  # profiles before the round's open
-        for counts, ways in states.items():
-            chains = count_chains(counts, lifetime)
-            chains[counts] = 1  # the empty chain: open at once
-            for after, chain_ways in chains.items():
-                chained[after] = chained.get(after, 0) + ways * chain_ways
+        chained = count_chains(tuple(states.items()), lifetime)
         states = {(after[0] + 1,) + after[1:]: ways
                   for after, ways in chained.items()}
     return factorial(n) * sum(states.values())

@@ -164,7 +164,9 @@ class GameInputs:
     checked and indexed once, when made, for any number of plays to share.
     The indexes, attributes but not fields, are read-only views from seat 1:
     `rows[seat][gift]`, float64 with gift 0 unused, and `orders[seat]`, the
-    gift ids by descending value."""
+    gift ids by descending value. Making the inputs marks the caller's
+    `valuations.values` and `appearance.signals` arrays read-only, so the
+    values a game plays are the values its trace exports."""
 
     valuations: ValuationMatrix
     appearance: AppearanceVector
@@ -172,6 +174,9 @@ class GameInputs:
 
     def __post_init__(self) -> None:
         vm, app, assigned = self.valuations, self.appearance, self.strategies
+        if not isinstance(assigned, tuple):
+            raise ConfigurationError(
+                f"strategies must be a tuple, got {type(assigned).__name__}")
         n = len(assigned)
         require_int("player count", n, 1)
         if set(map(type, assigned)) != {Strategy}:
@@ -188,6 +193,7 @@ class GameInputs:
         ids = (-vm.values).argsort(axis=1).astype(np.min_scalar_type(n))
         ids += 1
         padded.flags.writeable = ids.flags.writeable = False
+        vm.values.flags.writeable = app.signals.flags.writeable = False
         # Items of a view read as the Python floats and ints `tolist` makes.
         flat = memoryview(padded.reshape(-1))
         object.__setattr__(self, "rows", tuple(

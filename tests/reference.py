@@ -1,6 +1,8 @@
 """Helpers that several test modules share; pytest does not collect this
 module, since its name does not start with ``test_``."""
 
+from math import comb, factorial
+
 from giftex.engine import Steal, Swap, replay
 from giftex.strategies import best_target
 
@@ -51,3 +53,23 @@ def check_game(result):
     end = replay(n, limits, result.trajectory)
     assert {p: end.ownership[p] for p in range(1, n + 1)} == result.final_ownership
     assert end.concluded
+
+
+def naive_count_chains(profile, lifetime):
+    """Every nonempty stealing chain from one level profile (m_0..m_lifetime),
+    by profile after the chain: each choice of k_i gifts per stealable level
+    is its own entry, worth (sum k)! * prod C(m_i, k_i) orderings. Levels are
+    taken from the top down, so a gift moved up is never taken twice."""
+    partial = [(profile, 0, 1)]  # (profile so far, chain length, ways)
+    for level in range(lifetime - 1, -1, -1):
+        folded = []
+        for counts, length, ways in partial:
+            folded.append((counts, length, ways))  # take none from this level
+            available = counts[level]
+            head, above, tail = counts[:level], counts[level + 1], counts[level + 2:]
+            for k in range(1, available + 1):
+                folded.append((head + (available - k, above + k) + tail,
+                               length + k, ways * comb(available, k)))
+        partial = folded
+    return {counts: ways * factorial(length)
+            for counts, length, ways in partial if length}

@@ -6,6 +6,7 @@ level-profile DP (under a cap that never binds), and brute-force enumeration
 are frozen in a golden table and checked against the oracle for n <= 6.
 """
 
+import itertools
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from giftex.counting import (UNLIMITED, brute_force_count, count_chains,
                              count_trajectories, round_action_count)
 from giftex.engine import StealLimits
 from giftex.errors import ConfigurationError
+from reference import naive_count_chains
 
 A_GOLDEN = (1, 2, 5, 16, 65, 326, 1957, 13700)
 # Verified closed-form values; the brute-force oracle reproduces every entry
@@ -94,8 +96,8 @@ def test_dp_unlimited_matches_closed_form():
 
 def test_dp_with_nonbinding_lifetime_matches_closed_form():
     # No gift can be stolen more than n-1 times, so lifetime >= n-1 never binds.
-    # The DP's work grows fast with the cap: count_chains yields 0.8M chain
-    # outcomes over the rounds of n = 10 and 4.8M over those of n = 11.
+    # The DP's work grows fast with the cap: the round folds add 0.65M
+    # weighted terms over the rounds of n = 10 and 2.9M over those of n = 11.
     for n in range(2, 11):
         assert count_trajectories(n, n - 1) == count_trajectories(n)
 
@@ -105,9 +107,9 @@ def test_dp_clamps_a_cap_above_n_minus_one(monkeypatch):
     # levels, however large the cap.
     lengths = []
 
-    def recording(profile, lifetime):
-        lengths.append(len(profile))
-        return chains(profile, lifetime)
+    def recording(weighted, lifetime):
+        lengths.extend(len(profile) for profile, _ in weighted)
+        return chains(weighted, lifetime)
 
     chains = counting.count_chains
     monkeypatch.setattr(counting, "count_chains", recording)
@@ -172,26 +174,35 @@ def test_counting_keeps_no_hidden_state():
 
 # -- chain enumeration ------------------------------------------------------------
 
+def nonempty_chains(profile, lifetime):
+    """The chains from one profile, of weight 1, less the empty chain. Every
+    steal moves a gift up a level, so only the empty chain keeps the
+    profile, and it does so once."""
+    got = count_chains(((profile, 1),), lifetime)
+    assert got.pop(profile) == 1
+    return got
+
+
 def test_count_chains_empty_targets():
     # The only opened gift sits at the cap, so no chain can start.
-    assert count_chains((0, 1), 1) == {}
+    assert nonempty_chains((0, 1), 1) == {}
 
 
 def test_count_chains_two_fresh_gifts():
     # Chains over two fresh gifts: two of length 1 and two of length 2.
-    got = count_chains((2, 0, 0), 2)
+    got = nonempty_chains((2, 0, 0), 2)
     assert got == {(1, 1, 0): 2, (0, 2, 0): 2}
     assert sum(got.values()) == round_action_count(3) - 1
 
 
 def test_count_chains_single_target():
-    assert count_chains((1, 0), 1) == {(0, 1): 1}
+    assert nonempty_chains((1, 0), 1) == {(0, 1): 1}
 
 
 def test_count_chains_respects_multiplicity():
     # length-1 chains: 2 ways to steal a fresh gift; length-2: 2 ordered
     # pairs; the gift already at the cap is never a target.
-    assert count_chains((2, 1), 1) == {(1, 2): 2, (0, 3): 2}
+    assert nonempty_chains((2, 1), 1) == {(1, 2): 2, (0, 3): 2}
 
 
 @given(lifetime=st.integers(1, 4), data=st.data())
@@ -202,11 +213,58 @@ def test_count_chains_total_is_ordered_selections(lifetime, data):
     profile = tuple(data.draw(st.lists(st.integers(0, 3), min_size=lifetime + 1,
                                        max_size=lifetime + 1)))
     m = sum(profile[:lifetime])
-    got = count_chains(profile, lifetime)
+    got = nonempty_chains(profile, lifetime)
     want = sum(math.factorial(m) // math.factorial(m - s)
                for s in range(1, m + 1))
     assert sum(got.values()) == want == round_action_count(m + 1) - 1
     assert all(sum(after) == sum(profile) for after in got)
+
+
+def profiles(lifetime, most):
+    """Every level profile (m_0..m_lifetime) holding at most `most` gifts."""
+    return [p for p in itertools.product(range(most + 1), repeat=lifetime + 1)
+            if sum(p) <= most]
+
+
+def test_count_chains_matches_the_naive_enumeration():
+    """Each profile of at most 7 gifts, at lifetime 1 to 4, reaches the
+    profiles the per-profile enumeration lists, with the same chain counts,
+    plus itself once by the empty chain."""
+    for lifetime in range(1, 5):
+        for profile in profiles(lifetime, 7):
+            want = naive_count_chains(profile, lifetime)
+            want[profile] = 1
+            assert count_chains(((profile, 1),), lifetime) == want, profile
+
+
+def test_count_chains_sums_weighted_profiles():
+    """A round's profiles folded together, with big and repeated weights and
+    totals of 0 to 8 gifts (so the fold's digits are wider than those of
+    most one-profile calls), count what the profiles count one at a time,
+    times their weights."""
+    for lifetime in (1, 2, 3):
+        weighted = [(p, 3 ** i + 2 ** 70)
+                    for i, p in enumerate(profiles(lifetime, 8))]
+        weighted += weighted[::3]  # a profile may come more than once
+        want = {}
+        for profile, ways in weighted:
+            for after, chains in count_chains(((profile, 1),), lifetime).items():
+                want[after] = want.get(after, 0) + ways * chains
+        assert count_chains(tuple(weighted), lifetime) == want
+
+
+def test_count_chains_across_the_digit_width():
+    """Profiles whose totals need 8 or 9 bits a digit, or more than a byte:
+    the single-level counts are sum_k C(m, k) * k! over k gifts taken, and
+    two levels match the naive enumeration."""
+    for m in (255, 256, 300):
+        got = count_chains((((m, 0), 1),), 1)
+        assert got == {(m - k, k): math.comb(m, k) * math.factorial(k)
+                       for k in range(m + 1)}
+    for profile in ((128, 127, 0), (128, 128, 0), (100, 100, 100)):
+        want = naive_count_chains(profile, 2)
+        want[profile] = 1
+        assert count_chains(((profile, 1),), 2) == want, profile
 
 
 # -- brute force oracle --------------------------------------------------------------

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from giftex.behavior import BehaviorParams
-from giftex.counting import (brute_force_count, count_trajectories,
-                             round_action_count)
+from giftex.counting import (brute_force_count, count_chains,
+                             count_trajectories, round_action_count)
 from giftex.engine import (STANDARD_LIMITS, GameState, Open, StealLimits,
                            replay, run_game)
 from giftex.errors import ConfigurationError
@@ -41,6 +41,8 @@ COUNTS = {
     "count_trajectories.n": (count_trajectories, "player count", 1),
     "count_trajectories.lifetime": (
         lambda v: count_trajectories(3, v), "lifetime", 0),
+    "count_chains.lifetime": (
+        lambda v: count_chains((((1, 0), 1),), v), "lifetime", 1),
     "round_action_count": (round_action_count, "round index", 1),
     "brute_force_count": (
         lambda v: brute_force_count(v, STANDARD_LIMITS), "player count", 1),

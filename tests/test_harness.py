@@ -976,6 +976,42 @@ def test_copied_inputs_play_the_same_game():
             assert game_line(got) == want
 
 
+def test_inputs_refuse_strategies_that_are_not_a_tuple():
+    """A list of `Strategy` members is refused when the inputs are made, not
+    when a play first joins it to a tuple."""
+    good = draw_inputs(SMALL.model_for(ModelKind.INDEPENDENT), 6,
+                       SMALL.behavior, game_rng(7, 0, 0))
+    for strats in (list(good.strategies), iter(good.strategies), None):
+        with pytest.raises(ConfigurationError,
+                           match="^strategies must be a tuple, got "):
+            GameInputs(good.valuations, good.appearance, strats)
+    with pytest.raises(ConfigurationError, match="got list$"):
+        replace(good, strategies=list(good.strategies))
+
+
+def test_inputs_make_the_drawn_arrays_read_only():
+    """The caller's value matrix and signals, and those of a pickled or
+    `replace`d copy, refuse a write once inputs are made of them, so no
+    play can read values that the game's trace does not export."""
+    cfg = ExperimentConfig(n_players=7)
+    vm = generate_valuations(cfg.model_for(ModelKind.CORRELATED), 7,
+                             game_rng(29, 0, 0))
+    app = generate_appearance(vm.quality, cfg.behavior.sigma_a,
+                              game_rng(29, 0, 1))
+    assert vm.values.flags.writeable and app.signals.flags.writeable
+    inputs = GameInputs(vm, app, (Strategy.THRESHOLD,) * 7)
+    assert inputs.valuations.values is vm.values
+    copies = (pickle.loads(pickle.dumps(inputs)), replace(inputs),
+              replace(inputs, valuations=replace(vm, values=vm.values.copy()),
+                      appearance=replace(app, signals=app.signals.copy())))
+    for made in (inputs, *copies):
+        for array in (made.valuations.values, made.appearance.signals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        assert made.valuations.values.tobytes() == vm.values.tobytes()
+        assert made.rows[1][1] == vm.values[0, 0]
+
+
 @pytest.mark.parametrize("n", [7, 65])
 def test_inputs_do_not_depend_on_the_features(n):
     """All 16 feature subsets of a model, played from one game key, play
