@@ -85,8 +85,19 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
     from a level is `key + k * up` and reading m_i is a shift and a mask.
     No digit exceeds the largest profile total, which `width` holds. Level 0
     is folded straight into the result, with the (chain length)! orderings.
+
+    A profile that is not a tuple of `lifetime + 1` ints >= 0, or ways that
+    are not an int >= 0, is refused before any work.
     """
     require_int("lifetime", lifetime, 1)
+    for pair in weighted:
+        profile, ways = pair
+        if (type(profile) is not tuple or len(profile) != lifetime + 1
+                or not all(type(m) is int and m >= 0
+                           for m in (ways, *profile))):
+            raise ConfigurationError(
+                f"a weighted profile must pair a tuple of {lifetime + 1} "
+                f"ints >= 0 with an int >= 0, got {pair!r}")
     top = max((sum(profile) for profile, _ in weighted), default=0)
     width = max(top.bit_length(), 1)
     mask = (1 << width) - 1

@@ -124,9 +124,22 @@ def _section(value, name: str, allowed: set) -> dict:
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON file (all fields optional)."""
+    """Read an ExperimentConfig from a JSON file (all fields optional). A key
+    given twice in one object, at any depth, is refused rather than read as
+    its last value."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(
+            json.load(fh, object_pairs_hook=_unique_keys))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, if no key comes twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigurationError(f"duplicate config key {key!r}")
+        data[key] = value
+    return data
 
 
 @dataclass(frozen=True)
@@ -391,14 +404,14 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
     sel_vals = [0.0] + (wrapped_gift_value(app.signals, params) if pi_on
                         else app.signals).tolist()
     ce_wrapped_sum = running_total(sel_vals) if pi_on else 0.0
-    weights: Optional[list[float]] = None
-    # A float64 copy of `weights` for `choose_open_gift`'s C draw, kept only
-    # where a pool can pass its threshold; an opened gift reads 0.0 in it.
-    weight_row: Optional[np.ndarray] = None
+    # The selection weights by gift id, zeroed as each gift opens: a list,
+    # or above `C_DRAW_ABOVE` players a float64 array, which
+    # `choose_open_gift` draws from in C.
+    weights = None
     if bs_on:
         weights = [0.0] + selection_weights(sel_vals[1:], params.tau)
         if n > strategies.C_DRAW_ABOVE:
-            weight_row = np.array(weights)
+            weights = np.array(weights)
     wrapped_weight = 1.0  # of `weights`, over the still-wrapped gifts
 
     # Steal history is read only by the SC cost, frustration only by the AD
@@ -406,12 +419,14 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
     social = SocialState(n) if sc_on or ad_on else None
     sc_social = social if sc_on else None
     frustration = social.frustration if ad_on else None
-    # Each seat's `best_target` table of the gifts tied at its top value,
-    # built at its first scan; only SC-off scans read one, and only while
-    # the engine keeps `offer`.
-    tops: Optional[list] = None
+    # Each seat's `best_target` table of the gifts tied at its top value;
+    # only SC-off scans read one, only while the engine keeps `offer`, and
+    # an always_open seat never scans.
+    tops = (b"",) * (n + 1)
     if not sc_on and strategies.TOP_TABLE_ABOVE < n <= OFFER_MAX_N:
-        tops = [None] * (n + 1)
+        tops = (b"", *(b"" if by_seat[seat] is ALWAYS_OPEN
+                       else strategies.top_table(V[seat], order[seat])
+                       for seat in range(1, n + 1)))
 
     p0, l1, l2 = params.p0, params.lambda1, params.lambda2
     threshold = params.threshold
@@ -429,15 +444,9 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
         if (not ad_on or game_rng.random() < adaptive_prob_linear(
                 p0, st.round * inv_n, frustration[actor], l1, l2)
                 ) and kind is not ALWAYS_OPEN:
-            top = b""
-            if tops is not None:
-                top = tops[actor]
-                if top is None:
-                    top = tops[actor] = strategies.top_table(V[actor],
-                                                             order[actor])
             # Through the module, where the benchmark's tracer wraps it.
             best = strategies.best_target(st, actor, V[actor], order[actor],
-                                          sc_social, params, top)
+                                          sc_social, params, tops[actor])
             if best is not None:
                 # The bar the seat's rule compares: the threshold, its
                 # opened mean, or the wrapped mean, which opening nets. A
@@ -463,16 +472,13 @@ def play(inputs: GameInputs, limits: StealLimits, features: frozenset[Feature],
                     [sel_vals[gift] for gift in wrapped], params.tau)
                 for gift, w in zip(wrapped, fresh):
                     weights[gift] = w
-                if weight_row is not None:
-                    weight_row[wrapped] = fresh
                 wrapped_weight = 1.0
-            g = choose_open_gift(wrapped, weights, game_rng, weight_row)
+            g = choose_open_gift(wrapped, weights, game_rng)
             if pi_on:
                 ce_wrapped_sum -= sel_vals[g]
             if bs_on:
                 wrapped_weight -= weights[g]
-                if weight_row is not None:
-                    weight_row[g] = 0.0
+                weights[g] = 0.0
             return opens[g]
         if sc_on:
             social.note_steal(actor, victim)

@@ -157,15 +157,20 @@ def top_table(values: Sequence[float], order: Sequence[int]) -> bytes:
     return bytes(table)
 
 
-# A weighted open draws in C once more than this many gifts are wrapped; below
-# it the Python loop is cheaper. Measured per call on a 2-vCPU Xeon VM, the two
-# cost the same at 40-50 gifts for n = 65-200 and about 130 at n = 1000, and
-# FULL games at n = 100-1000 ran no faster with 32 than with 64.
-C_DRAW_ABOVE = 64
+# Play keeps the selection weights as a float64 array, and so draws every
+# weighted open in C, above this many players; at or below it, as a list for
+# the Python loop. The store is chosen once per game from n, not per call
+# from the pool. The C draw costs about the same at any pool size; the loop
+# grows with the pool but is cheaper on a short one. Measured per game
+# (`play`, 12 games a size, 25-40 rounds interleaved in one process) on a
+# 2-vCPU Xeon VM, the array store over the list took, in median ratio, BS
+# 1.03 and FULL 1.06 at n = 65, 1.01 and 1.04 at 80, 1.00 and 1.01 at 100,
+# 0.98 and 0.98 at 115, and 0.96 and 0.93 at 200.
+C_DRAW_ABOVE = 100
 
 
 def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
-                     rng, weight_row: Optional[np.ndarray] = None) -> int:
+                     rng) -> int:
     """Pick a wrapped gift from `pool`: uniform when `weights` is None, else
     by the selection weight indexed by gift id. `rng` is a numpy Generator
     or play's draws (`harness._Draws`): either returns the same numbers
@@ -176,20 +181,21 @@ def choose_open_gift(pool: Sequence[int], weights: Optional[Sequence[float]],
     sum exceeds it; when roundoff leaves none, the pool's last gift. `pool`
     is ascending, as `GameState.wrapped` keeps it.
 
-    `weight_row`, when given, is a float64 copy of `weights` that reads 0.0
-    at every id outside `pool`, id 0 included. Above `C_DRAW_ABOVE` gifts
-    the draw runs in C over it: `add.accumulate` adds left to right from
-    index 0, so after each added 0.0 (`x + 0.0 == x`) its prefix at a pool
-    gift is the loop's running sum there, bit for bit, and its last entry
-    the loop's total; `searchsorted(..., "right")` finds the first prefix
-    above `r`, which can only sit at a gift of positive weight. The gift,
-    the draw and every float are the loop's.
+    `weights` is any float sequence. A float64 numpy array must read 0.0 at
+    every id outside `pool`, id 0 included, as play keeps it above
+    `C_DRAW_ABOVE` players; the draw then runs in C over it, whatever the
+    pool's size: `add.accumulate` adds left to right from index 0, so after
+    each added 0.0 (`x + 0.0 == x`) its prefix at a pool gift is the loop's
+    running sum there, bit for bit, and its last entry the loop's total;
+    `searchsorted(..., "right")` finds the first prefix above `r`, which can
+    only sit at a gift of positive weight. The gift, the draw and every
+    float are the loop's.
     """
     assert pool, "no wrapped gift available at a decision point"
     if weights is None:
         return pool[int(rng.integers(0, len(pool)))]
-    if weight_row is not None and len(pool) > C_DRAW_ABOVE:
-        prefix = np.add.accumulate(weight_row)
+    if type(weights) is np.ndarray:
+        prefix = np.add.accumulate(weights)
         gift = int(prefix.searchsorted(rng.random() * prefix[-1], "right"))
         return gift if gift < len(prefix) else pool[-1]
     total = 0.0

@@ -54,16 +54,33 @@ class ValuationModel:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
 class ValuationMatrix:
     """Subjective values in [0,1] plus per-gift objective quality.
 
-    ``values[i-1, j-1]`` is seat i's value for gift j.
+    ``values[i-1, j-1]`` is seat i's value for gift j. Two matrices are
+    equal when their models are and their arrays have the same dtype,
+    shape and bytes.
     """
 
     values: np.ndarray
     quality: np.ndarray
     model: ValuationModel
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not ValuationMatrix:
+            return NotImplemented
+        return (self.model == other.model
+                and _same_array(self.values, other.values)
+                and _same_array(self.quality, other.quality))
 
     def to_jsonable(self) -> dict:
         return {
@@ -73,12 +90,21 @@ class ValuationMatrix:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AppearanceVector:
-    """Noisy per-gift quality signals, clipped to [0,1]."""
+    """Noisy per-gift quality signals, clipped to [0,1]; equal as
+    `ValuationMatrix` is."""
 
     signals: np.ndarray
     noise_sd: float
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not AppearanceVector:
+            return NotImplemented
+        return (self.noise_sd == other.noise_sd
+                and _same_array(self.signals, other.signals))
 
     def to_jsonable(self) -> dict:
         return {"noise_sd": self.noise_sd, "signals": _f8_block(self.signals)}

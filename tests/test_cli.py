@@ -228,6 +228,22 @@ def test_experiment_bad_config_is_exit_two(tmp_path, capsys, config):
     assert not (tmp_path / "experiment.csv").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"games_per_condition": 1, "games_per_condition": 2}',
+     "games_per_condition"),
+    ('{"n_players": 3, "behavior": {"tau": 1.0, "c0": 0.1, "tau": 3.0}}',
+     "tau")], ids=["top-level", "in-behavior"])
+def test_experiment_duplicate_config_key_is_exit_two(tmp_path, capsys, text,
+                                                    key):
+    """A key given twice is refused, not read as its last value."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--jobs", "1",
+                           "--out", str(tmp_path), "--config", str(path))
+    assert code == 2 and f"duplicate config key '{key}'" in err
+    assert not (tmp_path / "experiment.csv").exists()
+
+
 def test_experiment_negative_seed_is_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--games", "1", "--seed", "-1",
                            "--jobs", "2", "--out", str(tmp_path))

@@ -267,6 +267,22 @@ def test_count_chains_across_the_digit_width():
         assert count_chains(((profile, 1),), 2) == want, profile
 
 
+@pytest.mark.parametrize("weighted", [
+    (((1, 0, 5), 1),),  # one level too many, not dropped
+    (((1,), 1),),  # one level too few, not padded
+    (((-1, 2), 1),),
+    (((1, 0), -3),),
+    (((1.0, 1), 1),),
+    (((True, 0), 1),),
+    (((1, 0), 1.0),),
+    (([1, 0], 1),),
+    (((1, 0), 1), ((2, 0), 1), ((0, 1), -1)),  # a bad pair after good ones
+])
+def test_count_chains_refuses_a_malformed_profile_or_weight(weighted):
+    with pytest.raises(ConfigurationError, match="weighted profile"):
+        count_chains(weighted, 1)
+
+
 # -- brute force oracle --------------------------------------------------------------
 
 def test_brute_force_standard_rules_golden():

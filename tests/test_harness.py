@@ -209,6 +209,26 @@ def test_different_game_indices_differ():
     assert a.result != b.result
 
 
+def test_separately_drawn_records_compare_by_their_arrays():
+    """Inputs drawn twice on one key are equal and on another key unequal,
+    and two plays on one key give equal games; none is hashable."""
+    model = SMALL.model_for(ModelKind.CORRELATED)
+    features = frozenset(Feature)
+
+    def inputs(game):
+        return draw_inputs(model, 8, SMALL.behavior, game_rng(7, 3, game))
+
+    def played():
+        return play_game(8, SMALL.limits, model, features, SMALL.behavior,
+                         game_rng(7, 3, 11))
+
+    assert inputs(11) == inputs(11) and not inputs(11) != inputs(11)
+    assert inputs(11) != inputs(12)
+    assert played() == played()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(inputs(11))
+
+
 def test_seat_values_are_true_values_of_final_gifts():
     cfg = SMALL
     model = cfg.model_for(ModelKind.INDEPENDENT)

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from giftex.behavior import (BehaviorParams, Feature, SocialState,
 from giftex.engine import GameState, Open, StealLimits
 from giftex.harness import (ExperimentConfig, GameInputs,
                             enumerate_conditions, run_condition)
-from giftex.strategies import (C_DRAW_ABOVE, STRATEGY_ORDER, Strategy,
-                               best_target, choose_open_gift, decide,
-                               top_table)
+from giftex.strategies import (C_DRAW_ABOVE, STRATEGY_ORDER,
+                               TOP_TABLE_ABOVE, Strategy, best_target,
+                               choose_open_gift, decide, top_table)
 from giftex.valuation import (AppearanceVector, ModelKind, ValuationMatrix,
                               ValuationModel, generate_valuations)
 from reference import by_value
@@ -257,6 +258,9 @@ def test_played_games_scan_as_the_full_scan(monkeypatch):
     seen = {"sc_on": 0, "ties": 0, "table": 0}
 
     def checked_scan(state, actor, values, order, social, params, top=b""):
+        # Play passes each seat's own table, where it passes one at all.
+        assert top == (top_table(values, order) if social is None
+                       and len(order) > TOP_TABLE_ABOVE else b"")
         got = scan(state, actor, values, order, social, params, top)
         assert got == full_scan(state, actor, values, social, params)
         if social is not None:
@@ -418,28 +422,31 @@ def reference_draw(pool, weights, rng):
 
 
 def row_of(pool, weights):
-    """The float64 weight row play keeps: `weights` on `pool`, 0.0 at every
-    other id, id 0 and opened gifts included."""
+    """The float64 weight store play keeps above `C_DRAW_ABOVE` players:
+    `weights` on `pool`, 0.0 at every other id, id 0 and opened gifts
+    included."""
     row = np.zeros(len(weights))
     row[pool] = [weights[g] for g in pool]
     return row
 
 
 def assert_draws_match(pool, weights, seed, draws=50):
-    """Each of `draws` opens from `pool` equals the reference draw and leaves
-    the generator in the same state; returns the gifts drawn."""
+    """Each of `draws` opens from `pool` with the float64 store equals the
+    reference draw on the list `weights` and leaves the generator in the
+    same state; returns the gifts drawn."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     row = row_of(pool, weights)
     gifts = []
     for _ in range(draws):
-        gift = choose_open_gift(pool, weights, rng, row)
+        gift = choose_open_gift(pool, row, rng)
         assert gift == reference_draw(pool, weights, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         gifts.append(gift)
     return gifts
 
 
-POOL_SIZES = (C_DRAW_ABOVE - 1, C_DRAW_ABOVE, C_DRAW_ABOVE + 1, 200)
+# The store draws in C at any pool size, the smallest included.
+POOL_SIZES = (1, 2, 63, 64, 65, 200)
 
 
 @pytest.mark.parametrize("size", POOL_SIZES)
@@ -452,7 +459,7 @@ def test_draw_matches_the_reference_with_opened_ids_zeroed(size):
     pool = sorted(rng.choice(np.arange(1, n + 1), size, replace=False).tolist())
     weights = [0.0] + rng.random(n).tolist()
     gifts = assert_draws_match(pool, weights, seed=size, draws=200)
-    assert set(gifts) <= set(pool) and len(set(gifts)) > 10
+    assert set(gifts) <= set(pool) and len(set(gifts)) > min(10, size - 1)
 
 
 @pytest.mark.parametrize("size", POOL_SIZES)
@@ -486,10 +493,11 @@ def test_draw_falls_back_to_the_last_gift_as_the_reference(size):
 @pytest.mark.parametrize("tau", [2.0, 40.0])
 def test_played_opens_draw_as_the_reference(monkeypatch, tau):
     """Every open play makes equals the reference draw on a copy of the
-    generator, and the weight row play passes reads the list's weights on
-    the pool and 0.0 elsewhere: every BS condition of the three models at
-    n on both sides of `C_DRAW_ABOVE` and at 200. tau 40 drains the pool's
-    weight below the reweight threshold, so the row's update is checked."""
+    generator, and play passes its weights as a list at n <= `C_DRAW_ABOVE`
+    and above it as a float64 array that reads 0.0 off the pool: every BS
+    condition of the three models at n on both sides of `C_DRAW_ABOVE` and
+    at 200. tau 40 drains the pool's weight below the reweight threshold,
+    so the store's update is checked."""
     draw, reweigh = harness.choose_open_gift, harness.selection_weights
     seen = {"c_draws": 0, "weightings": 0}
 
@@ -505,16 +513,24 @@ def test_played_opens_draw_as_the_reference(monkeypatch, tau):
         seen["weightings"] += 1
         return reweigh(values, tau)
 
-    def checked_draw(pool, weights, rng, weight_row=None):
+    def checked_draw(pool, weights, rng):
         expected = None
         if weights is not None:
-            assert weight_row is None or np.array_equal(
-                weight_row, row_of(pool, weights))
+            if len(weights) - 1 > C_DRAW_ABOVE:  # n players, and id 0
+                assert type(weights) is np.ndarray
+                assert weights.dtype == np.float64
+                assert np.array_equal(weights, row_of(pool, weights))
+                seen["c_draws"] += 1
+            else:
+                assert type(weights) is list
+            # The store is reweighted before the pool's weight can drop
+            # below the threshold (the running total play keeps errs by far
+            # less than half of it).
+            assert math.fsum(weights[g] for g in pool) > (
+                harness._REWEIGHT_BELOW / 2)
             ref_rng = copy.deepcopy(rng)
             expected = reference_draw(pool, weights, ref_rng)
-            if weight_row is not None and len(pool) > C_DRAW_ABOVE:
-                seen["c_draws"] += 1
-        gift = draw(pool, weights, rng, weight_row)
+        gift = draw(pool, weights, rng)
         if expected is not None:
             assert gift == expected
             assert position(rng) == position(ref_rng)

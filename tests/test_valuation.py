@@ -1,6 +1,7 @@
 """Valuation model generation: distributions, clipping, camps, reproducibility."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,3 +157,23 @@ def test_jsonable_round_trip_shapes(decode_block):
     a = json.loads(json.dumps(app.to_jsonable()))
     assert a["noise_sd"] == 0.3
     assert_same_array(decode_block(a["signals"]), app.signals)
+
+
+def test_records_are_equal_by_dtype_shape_and_bytes():
+    vm = generate_valuations(IND, 4, np.random.default_rng(5))
+    app = generate_appearance(vm.quality, 0.1, np.random.default_rng(6))
+    assert vm == replace(vm, values=vm.values.copy())
+    assert app == replace(app, signals=app.signals.copy())
+    for other in (vm.values.astype(np.float32), vm.values.reshape(2, 8),
+                  vm.values + 1.0):
+        assert vm != replace(vm, values=other)
+    # 0.0 == -0.0 as numbers, but not as bytes.
+    zero, negative_zero = vm.values.copy(), vm.values.copy()
+    zero[0, 0], negative_zero[0, 0] = 0.0, -0.0
+    assert replace(vm, values=zero) != replace(vm, values=negative_zero)
+    assert vm != replace(vm, model=ValuationModel(ModelKind.CORRELATED))
+    assert app != replace(app, noise_sd=0.2)
+    assert app != replace(app, signals=app.signals[::-1].copy())
+    for record in (vm, app):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
