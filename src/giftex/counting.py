@@ -18,9 +18,12 @@ A chain that takes k_i gifts from each level i < L can be ordered in
 (sum k)! * prod C(m_i, k_i) ways; `count_chains` sums that over the choices
 without enumerating the orders. It takes a whole round's profiles at once and
 folds one level at a time across all of them, so profiles that meet merge
-before the next level. Its keys pack a (profile, chain length) pair into one
-integer, a digit per level and the chain length on top, each digit as many
-bits as the round's largest profile total needs, so any n fits.
+before the next level. It keys the fold by the profile alone, packed into one
+integer with a digit per level, each digit as many bits as the round's largest
+profile total needs, so any n fits. A key's ways are one vector over chain
+lengths s, packed into one integer with a slot per length: taking k gifts
+from a level shifts it k slots and scales it by C(m_i, k), and level 0 turns
+it into orderings with one dot product per k, sum_s ways_s * (s + k)!.
 
 Everything returns exact Python integers and keeps no state between calls;
 `brute_force_count` is a deliberately naive enumeration oracle for
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import comb, factorial
+from operator import mul
 from typing import Iterator
 
 from .engine import StealLimits
@@ -80,11 +84,16 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
     Levels are folded from the top down, so a gift moved up onto a level
     already folded is never taken twice, and each level is folded across all
     the profiles at once, so profiles that meet merge before the next level.
-    A (profile, chain length) pair is one integer with a digit of `width`
-    bits per level and the chain length as the top digit, so taking k gifts
-    from a level is `key + k * up` and reading m_i is a shift and a mask.
-    No digit exceeds the largest profile total, which `width` holds. Level 0
-    is folded straight into the result, with the (chain length)! orderings.
+    A profile is one integer key with a digit of `width` bits per level, so
+    taking k gifts from a level is `key + k * up` and reading m_i is a shift
+    and a mask; no digit exceeds the largest profile total, which `width`
+    holds. A key's value is its ways by chain length s, one `slot`-bit slot
+    per s in one integer, so the same k gifts shift the value k slots and
+    scale it by C(m_i, k). Each level's choices multiply the round's total
+    ways by at most 2^m_i, so no slot overflows. Level 0 is folded straight
+    into the result: taking k of its gifts reaches one profile with
+    C(m_0, k) * sum_s ways_s * (s + k)! ordered chains, the dot product of
+    the unpacked slots with the factorials from k! up.
 
     A profile that is not a tuple of `lifetime + 1` ints >= 0, or ways that
     are not an int >= 0, is refused before any work.
@@ -102,28 +111,30 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
     width = max(top.bit_length(), 1)
     mask = (1 << width) - 1
     shifts = range(0, width * (lifetime + 1), width)  # m_i's digit
-    length_shift = shifts.stop
     binomials = [[comb(m, k) for k in range(m + 1)] for m in range(top + 1)]
-    partial = defaultdict(int)  # (profile, chain length) key -> ways
+    partial = defaultdict(int)  # profile key -> ways by chain length, packed
     for profile, ways in weighted:
         partial[sum(m << shift for m, shift in zip(profile, shifts))] += ways
+    slot = max(sum(partial.values()) << top, 1).bit_length()
+    lengths = range(0, (top + 1) * slot, slot)  # chain length s's slot
     for shift in reversed(shifts[1:-1]):  # levels lifetime-1 .. 1
-        # One gift from this level to the next, and the chain one longer.
-        up = (1 << (shift + width)) - (1 << shift) + (1 << length_shift)
+        up = (1 << (shift + width)) - (1 << shift)  # one gift to the next level
         moves = range(0, (top + 1) * up, up)
         folded = defaultdict(int)
         for key, ways in partial.items():
-            for move, c in zip(moves, binomials[key >> shift & mask]):
-                folded[key + move] += ways * c
+            for move, c, longer in zip(moves, binomials[key >> shift & mask],
+                                       lengths):
+                folded[key + move] += ways * c << longer
         partial = folded
     moves = range(0, (top + 1) * mask, mask)  # k gifts from level 0 to 1
     factorials = [factorial(s) for s in range(top + 1)]
+    tails = [factorials[k:] for k in range(top + 1)]  # (s + k)! by s
+    full = (1 << slot) - 1
     chained = defaultdict(int)
-    for key, ways in partial.items():
-        counts = key & ((1 << length_shift) - 1)
-        for move, c, orders in zip(moves, binomials[key & mask],
-                                   factorials[key >> length_shift:]):
-            chained[counts + move] += ways * c * orders
+    for key, packed in partial.items():
+        ways = [packed >> at & full for at in range(0, packed.bit_length(), slot)]
+        for move, c, tail in zip(moves, binomials[key & mask], tails):
+            chained[key + move] += c * sum(map(mul, ways, tail))
     return {tuple(key >> shift & mask for shift in shifts): ways
             for key, ways in chained.items()}
 

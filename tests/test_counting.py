@@ -96,8 +96,9 @@ def test_dp_unlimited_matches_closed_form():
 
 def test_dp_with_nonbinding_lifetime_matches_closed_form():
     # No gift can be stolen more than n-1 times, so lifetime >= n-1 never binds.
-    # The DP's work grows fast with the cap: the round folds add 0.65M
-    # weighted terms over the rounds of n = 10 and 2.9M over those of n = 11.
+    # The DP's work grows fast with the cap: the round folds make 0.21M
+    # updates over the rounds of n = 10 and 0.80M over those of n = 11, each
+    # a shifted ways vector or, on level 0, a dot product with factorials.
     for n in range(2, 11):
         assert count_trajectories(n, n - 1) == count_trajectories(n)
 
@@ -120,6 +121,20 @@ def test_dp_clamps_a_cap_above_n_minus_one(monkeypatch):
 def test_dp_capped_golden():
     for n, row in CAPPED_GOLDEN.items():
         assert tuple(count_trajectories(n, L) for L in range(1, 5)) == row, n
+
+
+# count_trajectories(n, L) past n = 10, frozen from the fold that keyed each
+# (profile, chain length) pair apart; (18, 3) is the benchmark's capped count.
+CAPPED_PINS = {
+    (18, 3): 1523121510104126517011825482064238838381042084678306850500362240000,
+    (14, 4): 3226730385036227789051624718143208271346451479193600,
+    (12, 5): 6467770280581696432192458838803514935782400,
+}
+
+
+@pytest.mark.parametrize(("n", "lifetime"), sorted(CAPPED_PINS))
+def test_dp_capped_pins_past_ten(n, lifetime):
+    assert count_trajectories(n, lifetime) == CAPPED_PINS[n, lifetime]
 
 
 def test_dp_three_players_lifetime_one():
@@ -237,6 +252,16 @@ def test_count_chains_matches_the_naive_enumeration():
             assert count_chains(((profile, 1),), lifetime) == want, profile
 
 
+def test_count_chains_matches_the_naive_enumeration_at_lifetimes_five_and_six():
+    """As above, for each profile of at most 5 gifts at lifetime 5 and 6,
+    where chains of several lengths cross up to five levels above level 0."""
+    for lifetime in (5, 6):
+        for profile in profiles(lifetime, 5):
+            want = naive_count_chains(profile, lifetime)
+            want[profile] = 1
+            assert count_chains(((profile, 1),), lifetime) == want, profile
+
+
 def test_count_chains_sums_weighted_profiles():
     """A round's profiles folded together, with big and repeated weights and
     totals of 0 to 8 gifts (so the fold's digits are wider than those of
@@ -251,6 +276,27 @@ def test_count_chains_sums_weighted_profiles():
             for after, chains in count_chains(((profile, 1),), lifetime).items():
                 want[after] = want.get(after, 0) + ways * chains
         assert count_chains(tuple(weighted), lifetime) == want
+
+
+def test_count_chains_sums_a_profile_reached_at_several_chain_lengths():
+    """Chains from five profiles meet at (1, 1, 2, 1) with lengths 0 to 3,
+    and go on from there through level 0. A steal raises one gift a level,
+    so a chain from a to b is sum_i i * (b_i - a_i) long, and each length
+    keeps its own orderings through the merge."""
+    lifetime = 3
+    weighted = [((1, 1, 2, 1), 2 ** 70 + 1), ((1, 1, 3, 0), 2 ** 70 + 3),
+                ((1, 2, 2, 0), 5), ((1, 3, 1, 0), 7), ((2, 0, 2, 1), 11)]
+    want, lengths = {}, {}
+    for profile, ways in weighted:
+        chains = naive_count_chains(profile, lifetime)
+        chains[profile] = 1
+        for after, count in chains.items():
+            want[after] = want.get(after, 0) + ways * count
+            lengths.setdefault(after, set()).add(
+                sum(i * (b - a) for i, (a, b) in enumerate(zip(profile, after))))
+    assert lengths[1, 1, 2, 1] == {0, 1, 2, 3}
+    assert sum(len(seen) >= 3 for seen in lengths.values()) > 10
+    assert count_chains(tuple(weighted), lifetime) == want
 
 
 def test_count_chains_across_the_digit_width():
