@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import counting, harness
 from .behavior import BehaviorParams, feature_label, feature_set
 from .engine import Open, Steal, StealLimits
-from .errors import GiftexError
+from .errors import GiftexError, require_int
 from .valuation import ModelKind
 
 DEFAULT_SEED = 42
@@ -118,6 +118,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         overrides["games_per_condition"] = args.games
     config = replace(config, **overrides)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    require_int("jobs", jobs, 1)
     # An unusable --out fails here, before the run, not after it.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -21,9 +21,10 @@ folds one level at a time across all of them, so profiles that meet merge
 before the next level. It keys the fold by the profile alone, packed into one
 integer with a digit per level, each digit as many bits as the round's largest
 profile total needs, so any n fits. A key's ways are one vector over chain
-lengths s, packed into one integer with a slot per length: taking k gifts
-from a level shifts it k slots and scales it by C(m_i, k), and level 0 turns
-it into orderings with one dot product per k, sum_s ways_s * (s + k)!.
+lengths s, packed into one integer with a slot per length. Every level, level
+0 included, folds the same way: taking k gifts from it shifts the vector k
+slots and scales it by C(m_i, k). The orderings are applied once per result
+profile, as sum_s ways_s * s!.
 
 Everything returns exact Python integers and keeps no state between calls;
 `brute_force_count` is a deliberately naive enumeration oracle for
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Iterator
 
 from .engine import StealLimits
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, require_int, require_type
 
 UNLIMITED = 0  # lifetime sentinel, matching the engine's StealLimits encoding
 
@@ -90,10 +91,10 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
     holds. A key's value is its ways by chain length s, one `slot`-bit slot
     per s in one integer, so the same k gifts shift the value k slots and
     scale it by C(m_i, k). Each level's choices multiply the round's total
-    ways by at most 2^m_i, so no slot overflows. Level 0 is folded straight
-    into the result: taking k of its gifts reaches one profile with
-    C(m_0, k) * sum_s ways_s * (s + k)! ordered chains, the dot product of
-    the unpacked slots with the factorials from k! up.
+    ways by at most 2^m_i, so no slot overflows. Level 0 folds like every
+    other level; once all are folded, a result profile's ordered chains are
+    sum_s ways_s * s!, the dot product of its unpacked slots with the
+    factorials.
 
     A profile that is not a tuple of `lifetime + 1` ints >= 0, or ways that
     are not an int >= 0, is refused before any work.
@@ -117,7 +118,7 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
         partial[sum(m << shift for m, shift in zip(profile, shifts))] += ways
     slot = max(sum(partial.values()) << top, 1).bit_length()
     lengths = range(0, (top + 1) * slot, slot)  # chain length s's slot
-    for shift in reversed(shifts[1:-1]):  # levels lifetime-1 .. 1
+    for shift in reversed(shifts[:-1]):  # levels lifetime-1 .. 0
         up = (1 << (shift + width)) - (1 << shift)  # one gift to the next level
         moves = range(0, (top + 1) * up, up)
         folded = defaultdict(int)
@@ -126,17 +127,11 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
                                        lengths):
                 folded[key + move] += ways * c << longer
         partial = folded
-    moves = range(0, (top + 1) * mask, mask)  # k gifts from level 0 to 1
-    factorials = [factorial(s) for s in range(top + 1)]
-    tails = [factorials[k:] for k in range(top + 1)]  # (s + k)! by s
     full = (1 << slot) - 1
-    chained = defaultdict(int)
-    for key, packed in partial.items():
-        ways = [packed >> at & full for at in range(0, packed.bit_length(), slot)]
-        for move, c, tail in zip(moves, binomials[key & mask], tails):
-            chained[key + move] += c * sum(map(mul, ways, tail))
-    return {tuple(key >> shift & mask for shift in shifts): ways
-            for key, ways in chained.items()}
+    factorials = [factorial(s) for s in range(top + 1)]
+    return {tuple(key >> shift & mask for shift in shifts):
+            sum(map(mul, [packed >> at & full for at in lengths], factorials))
+            for key, packed in partial.items()}
 
 
 def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:
@@ -179,8 +174,7 @@ def brute_force_count(n: int, limits: StealLimits) -> int:
     if n > _BRUTE_FORCE_MAX:
         raise ConfigurationError(f"player count must be <= {_BRUTE_FORCE_MAX} "
                                  f"for brute-force enumeration, got {n}")
-    if not isinstance(limits, StealLimits):
-        raise ConfigurationError(f"limits must be a StealLimits, got {limits!r}")
+    require_type("limits", limits, StealLimits)
     per_round, lifetime = limits.per_round, limits.lifetime
     totals: list[int] = []  # lifetime steal count per opened gift, in open order
 

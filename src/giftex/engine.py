@@ -23,7 +23,7 @@ from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (ConfigurationError, IllegalMoveError, PhaseError,
-                     require_int)
+                     require_int, require_type)
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ class GameState:
     def __init__(self, n: int, limits: StealLimits = STANDARD_LIMITS) -> None:
         """Fresh state: everything wrapped and unowned, round 1."""
         require_int("player count", n, 1)
-        if not isinstance(limits, StealLimits):
-            raise ConfigurationError(
-                f"limits must be a StealLimits, got {limits!r}")
+        require_type("limits", limits, StealLimits)
         self.n = n
         self.limits = limits
         self.ownership: list[Optional[int]] = [None] * (n + 1)

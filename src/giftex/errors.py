@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the package, the bounded-count check
-that every integer count of the package goes through, and the float check
-of the config records' numeric fields."""
+that every integer count of the package goes through, the float check of the
+config records' numeric fields, and the type check of record arguments."""
 
 import math
 
@@ -28,6 +28,12 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_type(name: str, value, kind: type) -> None:
+    """Refuse anything but an instance of `kind`, such as a config record."""
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def require_float(name: str, value) -> float:

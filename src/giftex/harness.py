@@ -34,7 +34,8 @@ from .behavior import (FEATURE_ORDER, BehaviorParams, Feature,
 from .beliefs import wrapped_gift_value
 from .engine import (OFFER_MAX_N, STANDARD_LIMITS, GameResult, StealLimits,
                      run_game, shared_actions)
-from .errors import ConfigurationError, require_float, require_int
+from .errors import (ConfigurationError, require_float, require_int,
+                     require_type)
 from .strategies import (ALWAYS_OPEN, EXPECTED_VALUE, MEAN_BASED,
                          STRATEGY_ORDER, Strategy, choose_open_gift,
                          decide as strategy_decide)
@@ -72,10 +73,7 @@ class ExperimentConfig:
                              ("base_seed", 0)):
             require_int(key, getattr(self, key), minimum)
         for key, kind in (("limits", StealLimits), ("behavior", BehaviorParams)):
-            value = getattr(self, key)
-            if not isinstance(value, kind):
-                raise ConfigurationError(
-                    f"{key} must be a {kind.__name__}, got {value!r}")
+            require_type(key, getattr(self, key), kind)
         for key in ("rho", "sigma_neg"):
             object.__setattr__(self, key, require_float(key, getattr(self, key)))
         # Validates rho and sigma_neg, whose checks no kind changes.
@@ -201,6 +199,10 @@ class GameInputs:
             if shape != want:
                 raise ConfigurationError(
                     f"{part} has shape {shape}, not {want} for {n} strategies")
+        for part, values in (("valuations.values", vm.values),
+                             ("appearance.signals", app.signals)):
+            if not np.isfinite(values).all():
+                raise ConfigurationError(f"{part} must all be finite")
         padded = np.zeros((n + 1, n + 1))
         padded[1:, 1:] = vm.values
         ids = (-vm.values).argsort(axis=1).astype(np.min_scalar_type(n))
@@ -341,9 +343,7 @@ def _require_playable(rng: np.random.Generator, features, params) -> None:
     """Refuse a generator play cannot read by the word, features that are
     not a set of `Feature` members (play would read them as absent), and
     params that are not a `BehaviorParams`."""
-    if not isinstance(params, BehaviorParams):
-        raise ConfigurationError(
-            f"params must be a BehaviorParams, got {params!r}")
+    require_type("params", params, BehaviorParams)
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ConfigurationError(
             "play needs a PCG64 generator, got "
@@ -372,7 +372,10 @@ def play_game(
 def draw_inputs(model: ValuationModel, n: int, params: BehaviorParams,
                 rng: np.random.Generator) -> GameInputs:
     """Draw one game's inputs, in this fixed order: the valuation matrix, the
-    appearance signals, then each seat's strategy, uniform per seat."""
+    appearance signals, then each seat's strategy, uniform per seat. A
+    `model` or `params` of another type is refused before any draw."""
+    require_type("model", model, ValuationModel)
+    require_type("params", params, BehaviorParams)
     vm = generate_valuations(model, n, rng)
     app = generate_appearance(vm.quality, params.sigma_a, rng)
     codes = rng.integers(0, len(STRATEGY_ORDER), size=n)

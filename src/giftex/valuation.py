@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, require_float, require_int
+from .errors import (ConfigurationError, require_float, require_int,
+                     require_type)
 
 
 class ModelKind(Enum):
@@ -39,9 +40,7 @@ class ValuationModel:
     sigma: float = 0.2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, ModelKind):
-            raise ConfigurationError(
-                f"kind must be a ModelKind, got {self.kind!r}")
+        require_type("kind", self.kind, ModelKind)
         for key in ("rho", "sigma"):
             object.__setattr__(self, key, require_float(key, getattr(self, key)))
         if not 0.0 <= self.rho <= 1.0:

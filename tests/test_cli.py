@@ -259,6 +259,14 @@ def test_experiment_jobs_below_one_is_exit_two(tmp_path, capsys, jobs):
     assert not (tmp_path / "experiment.csv").exists()
 
 
+def test_experiment_jobs_below_one_creates_no_out_directory(tmp_path, capsys):
+    new = tmp_path / "new"
+    code, _, err = run_cli(capsys, "experiment", "--games", "1", "--jobs", "0",
+                           "--out", str(new))
+    assert code == 2 and "jobs" in err
+    assert not new.exists()
+
+
 def test_experiment_unusable_out_fails_before_the_run(tmp_path, capsys,
                                                      monkeypatch):
     # A regular file in the path, so no directory can be made below it.

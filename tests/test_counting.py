@@ -129,6 +129,10 @@ CAPPED_PINS = {
     (18, 3): 1523121510104126517011825482064238838381042084678306850500362240000,
     (14, 4): 3226730385036227789051624718143208271346451479193600,
     (12, 5): 6467770280581696432192458838803514935782400,
+    (40, 2): int(
+        "1143941054632769555302477127786500771575337600826697017283727180577"
+        "8515459777576285488199239906672327417844835354114989393999026379308"
+        "502365337796214784000000000"),
 }
 
 

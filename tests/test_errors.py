@@ -1,8 +1,9 @@
 """Every integer count of the package is checked by `errors.require_int`: a
 bool, a float, a string or a value below the count's minimum is refused with
 a `ConfigurationError` that names the field, never coerced. Every record
-argument, a `StealLimits` or a `BehaviorParams`, is refused by name when it
-is of any other type, before any draw."""
+argument, a `StealLimits`, a `BehaviorParams` or a `ValuationModel`, is
+refused by name, through `errors.require_type`, when it is of any other type,
+before any draw."""
 
 from dataclasses import astuple
 
@@ -91,6 +92,10 @@ RECORDS = {
     "play_game.params": (
         lambda v, rng: play_game(4, CONFIG.limits, MODEL, frozenset(), v, rng),
         "params", CONFIG.behavior),
+    "draw_inputs.model": (
+        lambda v, rng: draw_inputs(v, 4, CONFIG.behavior, rng), "model", MODEL),
+    "draw_inputs.params": (
+        lambda v, rng: draw_inputs(MODEL, 4, v, rng), "params", CONFIG.behavior),
 }
 
 

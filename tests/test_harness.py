@@ -1009,6 +1009,26 @@ def test_inputs_refuse_strategies_that_are_not_a_tuple():
         replace(good, strategies=list(good.strategies))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inputs_refuse_values_or_signals_that_are_not_finite(bad):
+    """A NaN or infinite value or signal is refused, by part, when the inputs
+    are made, so no play orders or sums it."""
+    good = draw_inputs(SMALL.model_for(ModelKind.INDEPENDENT), 6,
+                       SMALL.behavior, game_rng(7, 0, 0))
+    values = good.valuations.values.copy()
+    values[2, 3] = bad
+    signals = good.appearance.signals.copy()
+    signals[4] = bad
+    for part, made in (
+            ("valuations.values", lambda: replace(
+                good, valuations=replace(good.valuations, values=values))),
+            ("appearance.signals", lambda: replace(
+                good, appearance=replace(good.appearance, signals=signals)))):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{part} must all be finite$"):
+            made()
+
+
 def test_inputs_make_the_drawn_arrays_read_only():
     """The caller's value matrix and signals, and those of a pickled or
     `replace`d copy, refuse a write once inputs are made of them, so no
