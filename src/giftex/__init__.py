@@ -8,28 +8,44 @@ toggleable behavioral features (partial information, social costs, adaptive
 dynamics, biased selection), three valuation models, six decision strategies,
 a 48-condition factorial experiment harness, and exact combinatorics for the
 number of distinct game trajectories.
+
+The public names below load with their module on first use (PEP 562), so
+`import giftex.counting` or `giftex count` does not pay for numpy, which
+only the play modules need.
 """
 
-from .behavior import (ALL_FEATURES, BehaviorParams, Feature, SocialState,
-                       adaptive_prob_linear, feature_label, feature_set,
-                       frustration_decay, frustration_on_theft,
-                       selection_weights)
-from .beliefs import wrapped_gift_value
-from .counting import (UNLIMITED, brute_force_count, count_chains,
-                       count_trajectories, round_action_count)
-from .engine import (STANDARD_LIMITS, ActionRecord, GameResult, GameState,
-                     Open, Steal, StealLimits, Swap, replay, run_game)
-from .errors import (ConfigurationError, GiftexError, IllegalMoveError,
-                     PhaseError)
-from .harness import (Condition, ConditionSummary, ExperimentConfig,
-                      GameInputs, PlayedGame, compute_effects, draw_inputs,
-                      enumerate_conditions, export, game_rng, game_trace,
-                      load_config, play, play_game, run_condition,
-                      run_experiment)
-from .strategies import (STRATEGY_ORDER, Strategy, best_target,
-                         choose_open_gift, decide)
-from .valuation import (AppearanceVector, ModelKind, ValuationMatrix,
-                        ValuationModel, generate_appearance,
-                        generate_valuations)
+from importlib import import_module
 
+_EXPORTS = {
+    "behavior": ("ALL_FEATURES", "BehaviorParams", "Feature", "SocialState",
+                 "adaptive_prob_linear", "feature_label", "feature_set",
+                 "frustration_decay", "frustration_on_theft",
+                 "selection_weights"),
+    "beliefs": ("wrapped_gift_value",),
+    "counting": ("UNLIMITED", "brute_force_count", "count_chains",
+                 "count_trajectories", "round_action_count"),
+    "engine": ("STANDARD_LIMITS", "ActionRecord", "GameResult", "GameState",
+               "Open", "Steal", "StealLimits", "Swap", "replay", "run_game"),
+    "errors": ("ConfigurationError", "GiftexError", "IllegalMoveError",
+               "PhaseError"),
+    "harness": ("Condition", "ConditionSummary", "ExperimentConfig",
+                "GameInputs", "PlayedGame", "compute_effects", "draw_inputs",
+                "enumerate_conditions", "export", "game_rng", "game_trace",
+                "load_config", "play", "play_game", "run_condition",
+                "run_experiment"),
+    "strategies": ("STRATEGY_ORDER", "Strategy", "best_target",
+                   "choose_open_gift", "decide"),
+    "valuation": ("AppearanceVector", "ModelKind", "ValuationMatrix",
+                  "ValuationModel", "generate_appearance",
+                  "generate_valuations"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)

@@ -16,11 +16,13 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import counting, harness
+from . import counting
 from .behavior import BehaviorParams, feature_label, feature_set
 from .engine import Open, Steal, StealLimits
 from .errors import GiftexError, require_int
-from .valuation import ModelKind
+
+# `harness` and `valuation` import numpy, so only the subcommands that play
+# import them, and `count` starts without it.
 
 DEFAULT_SEED = 42
 
@@ -51,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--features", default="",
                      help="comma list from pi,sc,ad,bs (default: none)")
     sim.add_argument("--model", default="independent",
-                     choices=[k.value for k in ModelKind])
+                     help="valuation model: independent, correlated or "
+                          "negative (default: independent)")
     sim.add_argument("--trace", action="store_true",
                      help="print every action record")
 
@@ -77,6 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import harness
+    from .valuation import ModelKind
+
     seed = _env_seed(args.seed, DEFAULT_SEED)
     features = feature_set(*args.features.split(","))
     config = harness.ExperimentConfig(n_players=args.players, base_seed=seed)
@@ -109,6 +115,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from . import harness
+
     if args.config is not None:
         config = harness.load_config(args.config)
     else:

@@ -22,9 +22,11 @@ before the next level. It keys the fold by the profile alone, packed into one
 integer with a digit per level, each digit as many bits as the round's largest
 profile total needs, so any n fits. A key's ways are one vector over chain
 lengths s, packed into one integer with a slot per length. Every level, level
-0 included, folds the same way: taking k gifts from it shifts the vector k
-slots and scales it by C(m_i, k). The orderings are applied once per result
-profile, as sum_s ways_s * s!.
+0 included, folds the same way: taking no gift leaves a key as it is, so each
+level starts from a copy of the dict, and taking k >= 1 gifts shifts the
+vector k slots and scales it by C(m_i, k). The orderings are applied once per
+result profile, as sum_s ways_s * s!, over the live slots alone: those from
+the vector's lowest set bit to its highest.
 
 Everything returns exact Python integers and keeps no state between calls;
 `brute_force_count` is a deliberately naive enumeration oracle for
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import comb, factorial
-from operator import mul
+from operator import lshift, mul
 from typing import Iterator
 
 from .engine import StealLimits
@@ -91,10 +93,14 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
     holds. A key's value is its ways by chain length s, one `slot`-bit slot
     per s in one integer, so the same k gifts shift the value k slots and
     scale it by C(m_i, k). Each level's choices multiply the round's total
-    ways by at most 2^m_i, so no slot overflows. Level 0 folds like every
+    ways by at most 2^m_i, so no slot overflows. Taking no gift (k = 0)
+    leaves every key and value as it is, so a level's fold starts from a
+    copy of the dict and adds only k = 1..m_i. Level 0 folds like every
     other level; once all are folded, a result profile's ordered chains are
-    sum_s ways_s * s!, the dot product of its unpacked slots with the
-    factorials.
+    sum_s ways_s * s!, the dot product of its slots with the factorials. Only
+    the slots from the value's lowest set bit to its highest are read: a
+    single profile reaches each result at one chain length, so reading every
+    slot would copy a long vector once per slot for one nonzero term.
 
     A profile that is not a tuple of `lifetime + 1` ints >= 0, or ways that
     are not an int >= 0, is refused before any work.
@@ -112,16 +118,17 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
     width = max(top.bit_length(), 1)
     mask = (1 << width) - 1
     shifts = range(0, width * (lifetime + 1), width)  # m_i's digit
-    binomials = [[comb(m, k) for k in range(m + 1)] for m in range(top + 1)]
+    # C(m, k) for k = 1..m: taking no gift is the copy that starts each fold.
+    binomials = [[comb(m, k) for k in range(1, m + 1)] for m in range(top + 1)]
     partial = defaultdict(int)  # profile key -> ways by chain length, packed
     for profile, ways in weighted:
-        partial[sum(m << shift for m, shift in zip(profile, shifts))] += ways
+        partial[sum(map(lshift, profile, shifts))] += ways
     slot = max(sum(partial.values()) << top, 1).bit_length()
-    lengths = range(0, (top + 1) * slot, slot)  # chain length s's slot
+    lengths = range(slot, (top + 1) * slot, slot)  # k gifts: k slots up
     for shift in reversed(shifts[:-1]):  # levels lifetime-1 .. 0
         up = (1 << (shift + width)) - (1 << shift)  # one gift to the next level
-        moves = range(0, (top + 1) * up, up)
-        folded = defaultdict(int)
+        moves = range(up, (top + 1) * up, up)
+        folded = defaultdict(int, partial)
         for key, ways in partial.items():
             for move, c, longer in zip(moves, binomials[key >> shift & mask],
                                        lengths):
@@ -129,9 +136,16 @@ def count_chains(weighted: tuple[tuple[Profile, int], ...],
         partial = folded
     full = (1 << slot) - 1
     factorials = [factorial(s) for s in range(top + 1)]
-    return {tuple(key >> shift & mask for shift in shifts):
-            sum(map(mul, [packed >> at & full for at in lengths], factorials))
-            for key, packed in partial.items()}
+    counts = {}
+    for key, packed in partial.items():
+        # Only the slots from the lowest set bit to the highest are live; a
+        # zero vector (a weight of 0) has no set bit and reads nothing.
+        low = max((packed & -packed).bit_length() - 1, 0) // slot
+        counts[tuple([key >> shift & mask for shift in shifts])] = sum(map(
+            mul, [packed >> at & full
+                  for at in range(low * slot, packed.bit_length(), slot)],
+            factorials[low:]))
+    return counts
 
 
 def count_trajectories(n: int, lifetime: int = UNLIMITED) -> int:

@@ -147,6 +147,12 @@ def test_simulate_bad_feature_is_exit_two(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_simulate_bad_model_is_exit_two(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--players", "3", "--seed", "1",
+                           "--model", "zz")
+    assert code == 2 and "'zz'" in err
+
+
 def test_simulate_negative_seed_is_exit_two(capsys):
     code, out, err = run_cli(capsys, "simulate", "--players", "3",
                              "--seed", "-3")
@@ -309,3 +315,13 @@ def test_module_entry_point_runs(child_env):
         [sys.executable, "-m", "giftex", "count", "--players", "4"],
         capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0 and proc.stdout.strip() == "3840"
+
+
+def test_count_does_not_import_numpy(child_env):
+    # Counting is pure integer work; only the play modules need numpy, and
+    # importing it costs a count from the console more than the count.
+    code = ("import sys; from giftex.cli import main; "
+            "main(['count', '--players', '4']); print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env)
+    assert proc.returncode == 0 and proc.stdout.split() == ["3840", "False"]

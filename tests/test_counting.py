@@ -96,9 +96,10 @@ def test_dp_unlimited_matches_closed_form():
 
 def test_dp_with_nonbinding_lifetime_matches_closed_form():
     # No gift can be stolen more than n-1 times, so lifetime >= n-1 never binds.
-    # The DP's work grows fast with the cap: the round folds make 0.21M
-    # updates over the rounds of n = 10 and 0.80M over those of n = 11, each
-    # a shifted ways vector or, on level 0, a dot product with factorials.
+    # The DP's work grows fast with the cap: the round folds make 0.10M
+    # updates over the rounds of n = 10 and 0.40M over those of n = 11, each
+    # a shifted, scaled ways vector; taking no gift from a level is the dict
+    # copy the level starts from, not an update.
     for n in range(2, 11):
         assert count_trajectories(n, n - 1) == count_trajectories(n)
 
@@ -315,6 +316,13 @@ def test_count_chains_across_the_digit_width():
         want = naive_count_chains(profile, 2)
         want[profile] = 1
         assert count_chains(((profile, 1),), 2) == want, profile
+
+
+def test_count_chains_of_zero_weight_profiles_are_zero():
+    """A profile of weight 0 reaches what it reaches 0 times, and a round
+    with no profiles reaches nothing."""
+    assert count_chains((((2, 0), 0),), 1) == {(2, 0): 0, (1, 1): 0, (0, 2): 0}
+    assert count_chains((), 1) == {}
 
 
 @pytest.mark.parametrize("weighted", [

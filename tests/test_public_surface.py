@@ -26,12 +26,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = {"GameState.legal_actions", "round_action_count"}
 
 
-def exported_names() -> list[str]:
-    tree = ast.parse(INIT.read_text())
-    return [alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
-
-
 def public_methods(cls) -> list[str]:
     return [name for name, member in vars(cls).items()
             if not name.startswith("_")
@@ -60,7 +54,7 @@ def referenced_names() -> set[str]:
 
 def public_surface() -> list[str]:
     surface = []
-    for name in exported_names():
+    for name in giftex.__all__:
         surface.append(name)
         obj = getattr(giftex, name)
         if inspect.isclass(obj):
